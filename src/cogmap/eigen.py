@@ -1,17 +1,12 @@
 """Eigenvalues of small dense real nonsymmetric matrices.
 
-Self-contained solver used for stability analysis: Parlett-Reinsch balancing,
-Householder reduction to upper Hessenberg form, then Francis implicit
-double-shift QR with deflation.  Complex conjugate pairs come out of the
-trailing 2x2 blocks of the real Schur form.  Intended for the map sizes this
-package works with (tested to n = 16 and against an independent solver);
-accuracy there is far better than the six significant digits the stability
-criterion needs.
+A thin wrapper around LAPACK's ``dgeev`` (via :func:`numpy.linalg.eigvals`),
+which balances and scales the matrix itself.  The wrapper fixes the return
+type and order so that stability verdicts and their output are deterministic,
+and turns a LAPACK convergence failure into the package's own error type.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -19,193 +14,28 @@ from .errors import EigenConvergenceError
 
 __all__ = ["eigenvalues"]
 
-_EPS = np.finfo(float).eps
 
-
-def _balance(A: np.ndarray) -> np.ndarray:
-    """Diagonal similarity scaling by powers of 2 to even out row/col norms."""
-    A = A.copy()
-    n = A.shape[0]
-    radix = 2.0
-    done = False
-    while not done:
-        done = True
-        for i in range(n):
-            r = sum(abs(A[i, j]) for j in range(n) if j != i)
-            c = sum(abs(A[j, i]) for j in range(n) if j != i)
-            if r == 0.0 or c == 0.0:
-                continue
-            f = 1.0
-            s = c + r
-            while c < r / radix:
-                c *= radix
-                r /= radix
-                f *= radix
-            while c >= r * radix:
-                c /= radix
-                r *= radix
-                f /= radix
-            if (c + r) < 0.95 * s and f != 1.0:
-                done = False
-                A[i, :] /= f
-                A[:, i] *= f
-    return A
-
-
-def _hessenberg(A: np.ndarray) -> np.ndarray:
-    """Householder reduction to upper Hessenberg form (similarity transform)."""
-    H = A.copy()
-    n = H.shape[0]
-    for k in range(n - 2):
-        x = H[k + 1 :, k].copy()
-        norm = math.sqrt(float(x @ x))
-        if norm == 0.0:
-            continue
-        if x[0] != 0.0:
-            norm = math.copysign(norm, x[0])
-        v = x.copy()
-        v[0] += norm
-        vnorm2 = float(v @ v)
-        if vnorm2 == 0.0:
-            continue
-        # H <- P H P with P = I - 2 v v^T / (v^T v) acting on rows/cols k+1..
-        H[k + 1 :, k:] -= np.outer(2.0 * v / vnorm2, v @ H[k + 1 :, k:])
-        H[:, k + 1 :] -= np.outer(H[:, k + 1 :] @ v, 2.0 * v / vnorm2)
-        H[k + 2 :, k] = 0.0
-    return H
-
-
-def _eig2x2(a: float, b: float, c: float, d: float) -> tuple[complex, complex]:
-    """Eigenvalues of [[a, b], [c, d]]."""
-    half_tr = 0.5 * (a + d)
-    det = a * d - b * c
-    disc = half_tr * half_tr - det
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        # the larger-magnitude root first, computed stably
-        if half_tr >= 0:
-            l1 = half_tr + root
-        else:
-            l1 = half_tr - root
-        l2 = det / l1 if l1 != 0.0 else half_tr - math.copysign(root, half_tr)
-        return complex(l1), complex(l2)
-    root = math.sqrt(-disc)
-    return complex(half_tr, root), complex(half_tr, -root)
-
-
-def _francis_step(H: np.ndarray, lo: int, hi: int, exceptional: bool) -> None:
-    """One implicit double-shift QR sweep on the active block lo..hi.
-
-    The double shift uses the trailing 2x2's trace and determinant, so
-    complex conjugate shifts never leave real arithmetic.  A bulge is
-    introduced at the top of the block and chased to the bottom with 3x3
-    (finally 2x2) Householder reflectors; updates are confined to the active
-    block, which is all that matters once the matrix has deflated.
-    """
-    if exceptional:
-        # ad-hoc shifts built from subdiagonal magnitudes break the rare
-        # cycling patterns the standard shifts cannot
-        s = abs(H[hi, hi - 1]) + (abs(H[hi - 1, hi - 2]) if hi - 2 >= lo else 0.0)
-        trace, det = 1.5 * s, s * s
-    else:
-        trace = H[hi - 1, hi - 1] + H[hi, hi]
-        det = H[hi - 1, hi - 1] * H[hi, hi] - H[hi - 1, hi] * H[hi, hi - 1]
-
-    for k in range(lo, hi):
-        if k == lo:
-            # first column of (H - l1 I)(H - l2 I) restricted to the block
-            x = H[lo, lo] * H[lo, lo] + H[lo, lo + 1] * H[lo + 1, lo] - trace * H[lo, lo] + det
-            y = H[lo + 1, lo] * (H[lo, lo] + H[lo + 1, lo + 1] - trace)
-            z = H[lo + 1, lo] * H[lo + 2, lo + 1]
-        else:
-            x = H[k, k - 1]
-            y = H[k + 1, k - 1]
-            z = H[k + 2, k - 1] if k + 2 <= hi else 0.0
-        size = 3 if k + 2 <= hi else 2
-        col = np.array([x, y, z][:size])
-        norm = math.sqrt(float(col @ col))
-        if norm == 0.0:
-            continue
-        if col[0] != 0.0:
-            norm = math.copysign(norm, col[0])
-        v = col.copy()
-        v[0] += norm
-        vnorm2 = float(v @ v)
-        if vnorm2 == 0.0:
-            continue
-        rows = slice(k, k + size)
-        cstart = lo if k == lo else k - 1
-        H[rows, cstart : hi + 1] -= np.outer(2.0 * v / vnorm2, v @ H[rows, cstart : hi + 1])
-        rend = min(hi, k + size) + 1
-        H[lo:rend, rows] -= np.outer(H[lo:rend, rows] @ v, 2.0 * v / vnorm2)
-        if k > lo:
-            # the reflector annihilated these bulge entries by construction
-            H[k + 1, k - 1] = 0.0
-            if size == 3:
-                H[k + 2, k - 1] = 0.0
-
-
-def eigenvalues(A: np.ndarray, max_sweeps_per_eig: int = 40) -> np.ndarray:
+def eigenvalues(A: np.ndarray) -> np.ndarray:
     """All eigenvalues of a real square matrix as a complex array.
 
     Returned in descending order of magnitude (ties by descending real part,
     then descending imaginary part) so output is deterministic.
 
-    Raises :class:`EigenConvergenceError` if the QR iteration stalls, which
-    for the matrix sizes supported here indicates pathological input.
+    Raises :class:`EigenConvergenceError` if LAPACK's QR iteration fails to
+    converge.
     """
-    A = np.array(A, dtype=float)
+    A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"need a square matrix, got shape {A.shape}")
     n = A.shape[0]
     if n == 0:
         return np.zeros(0, dtype=complex)
-    if n == 1:
-        return np.array([complex(A[0, 0])])
-
-    scale = float(np.max(np.abs(A)))
-    if scale == 0.0:
-        return np.zeros(n, dtype=complex)
-    H = _hessenberg(_balance(A / scale))
-
-    eigs: list[complex] = []
-    hi = n - 1
-    sweeps = 0
-    budget = max_sweeps_per_eig * n
-    while hi >= 0:
-        if hi == 0:
-            eigs.append(complex(H[0, 0]))
-            break
-        # deflate negligible subdiagonal entries
-        lo = hi
-        while lo > 0:
-            small = _EPS * (abs(H[lo - 1, lo - 1]) + abs(H[lo, lo]))
-            if small == 0.0:
-                small = _EPS
-            if abs(H[lo, lo - 1]) <= small:
-                H[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            eigs.append(complex(H[hi, hi]))
-            hi -= 1
-            sweeps = 0
-            continue
-        if lo == hi - 1:
-            l1, l2 = _eig2x2(H[lo, lo], H[lo, hi], H[hi, lo], H[hi, hi])
-            eigs.extend([l1, l2])
-            hi -= 2
-            sweeps = 0
-            continue
-        if sweeps >= budget:
-            raise EigenConvergenceError(
-                f"QR iteration did not converge for a {n}x{n} matrix "
-                f"(block {lo}..{hi} after {sweeps} sweeps)",
-                iterations=sweeps,
-            )
-        sweeps += 1
-        _francis_step(H, lo, hi, exceptional=(sweeps % 12 == 0))
-
-    out = np.array(eigs, dtype=complex) * scale
+    try:
+        # numpy returns a real array when every eigenvalue is real
+        out = np.linalg.eigvals(A).astype(complex)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(
+            f"eigenvalue computation did not converge for a {n}x{n} matrix: {exc}"
+        ) from exc
     order = np.lexsort((-out.imag, -out.real, -np.abs(out)))
     return out[order]

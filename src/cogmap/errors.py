@@ -50,7 +50,7 @@ class MethodNotApplicableError(CogmapError):
 
 
 class EigenConvergenceError(CogmapError):
-    """The QR eigenvalue iteration failed to converge."""
+    """The eigenvalue computation (LAPACK's QR iteration) failed to converge."""
 
     def __init__(self, message: str, iterations: int | None = None):
         self.iterations = iterations

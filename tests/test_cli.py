@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from cogmap import fixture_path, influence_matrix, load_fixture, load_map
+import cogmap.eigen
+from cogmap import EigenConvergenceError, fixture_path, influence_matrix, load_fixture, load_map
 from cogmap.cli import main
 
 
@@ -201,6 +202,18 @@ class TestStabilityCommand:
         lines = out.splitlines()
         assert lines[0] == "re,im,magnitude"
         assert len(lines) == 4
+
+    def test_eigensolver_failure_is_exit_3(self, run, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cogmap.eigen.np.linalg, "eigvals", no_convergence)
+        with pytest.raises(EigenConvergenceError):
+            cogmap.eigen.eigenvalues(np.eye(3))
+        code, out, err = run("stability", FOUR_STABLE)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: eigenvalue computation did not converge for a 4x4 matrix")
 
 
 class TestImpulseCommand:

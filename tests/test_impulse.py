@@ -138,6 +138,54 @@ class TestStabilityCheck:
         assert verdict.stable
         assert verdict.magnitudes == ()
 
+    def test_stable_singular_map_is_not_refused(self):
+        # spectral radius 0.8 and a four-fold zero eigenvalue with a 2x2
+        # Jordan block (rank 9); an eigensolver that splits that block into a
+        # pair at ~3e-9, above the zero threshold, sees a repeated nonzero
+        # eigenvalue and wrongly refuses the map
+        w = np.zeros((12, 12))
+        for (i, j), x in STABLE_SINGULAR_EDGES.items():
+            w[i, j] = x
+        m = CognitiveMap(w)
+        verdict = stability_check(m)
+        assert verdict.stable
+        assert verdict.spectral_radius == pytest.approx(0.8, abs=1e-12)
+        assert len(verdict.magnitudes) == 8
+        report = impulse_general_influence(m)
+        assert len(report.scores) == 12
+        assert all(np.isfinite(report.scores))
+
+
+# 26 edges of a random 12-vertex map scaled to spectral radius 0.8
+STABLE_SINGULAR_EDGES = {
+    (0, 10): 0.3427828005004531,
+    (1, 6): -0.3705542794815841,
+    (1, 7): 0.46866376545955907,
+    (2, 0): 0.6272476704693597,
+    (2, 8): 0.0006442979803555286,
+    (2, 10): 0.8526450364907874,
+    (2, 11): -0.3379419183735333,
+    (3, 0): 0.526264980588899,
+    (3, 6): 0.49649350940106746,
+    (5, 7): 0.010963188447192504,
+    (6, 2): -0.37014247615321155,
+    (8, 0): 0.8404936706821912,
+    (8, 1): -0.6788400221254705,
+    (8, 2): -0.3359787562971868,
+    (8, 10): 0.7550366729534049,
+    (9, 1): 0.48584222451270337,
+    (9, 2): -0.17780616465666968,
+    (9, 11): -0.7644796586143539,
+    (10, 2): 0.1753187714513803,
+    (10, 6): -0.020879623698214212,
+    (10, 7): 0.04632891696120753,
+    (10, 8): -0.6639523733145555,
+    (10, 9): -0.634394361521938,
+    (11, 1): -0.519097795401207,
+    (11, 2): 0.1386453724767103,
+    (11, 7): 0.5153311969158174,
+}
+
 
 class TestImpulseScores:
     def test_reference_scores_reproduced(self, fixture_maps):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cogmap import (
@@ -48,12 +48,17 @@ class TestDamping:
             damping(-0.1)
 
     @given(x=st.floats(0, 2), y=st.floats(0, 2))
+    @example(x=1.9999999999999998, y=2.0)  # one ulp apart, equal outputs
     @settings(max_examples=60)
     def test_strictly_increasing_and_bounded_on_reachable_domain(self, x, y):
         # |z| < 2 mu keeps the recurrence's arguments inside [0, 2)
         assert 0.0 <= damping(x) < 1.0
         if x < y:
-            assert damping(x) < damping(y)
+            # the slope is >= 0.036 on [0, 2], so a 1e-9 step moves the output
+            # by far more than an ulp; a step of a few ulps in x may not
+            assert damping(x) <= damping(y)
+            if y - x >= 1e-9:
+                assert damping(x) < damping(y)
 
 
 class TestAccumulate:
