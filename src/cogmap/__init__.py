@@ -26,7 +26,6 @@ from .maps import (
     reachability_closure,
     save_map,
     scale_map,
-    sparsify,
 )
 from .paths import (
     DEFAULT_MAX_PATHS,
@@ -79,7 +78,6 @@ __all__ = [
     "reachability_closure",
     "save_map",
     "scale_map",
-    "sparsify",
     "DEFAULT_MAX_PATHS",
     "PathSet",
     "count_paths_complete",

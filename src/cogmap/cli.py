@@ -367,8 +367,8 @@ threads_option = click.option(
     default=1,
     show_default=True,
     envvar="COGMAP_THREADS",
-    help="Worker threads for pair-level parallelism (output is identical "
-    "regardless of the value).",
+    help="Accepted for compatibility; has no effect. Pairs are computed "
+    "sequentially, since a thread pool was measured slower under the GIL.",
 )
 
 

@@ -90,7 +90,7 @@ def simulate(
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     if not (eps > 0):
         raise ValueError(f"eps must be positive, got {eps!r}")
-    p = np.asarray(p0, dtype=float).reshape(-1)
+    p = np.array(p0, dtype=float).reshape(-1)  # the caller's p0 is copied once
     v = (
         np.zeros(n)
         if v0 is None
@@ -100,28 +100,30 @@ def simulate(
         raise ValueError(f"p0 and v0 must be vectors of length {n}")
 
     along_edges = cmap.weights.T  # propagate i -> j along w_ij
-    values = [v.copy()]
-    impulses = [p.copy()]
+    # every step allocates fresh arrays, so the history keeps them uncopied
+    values = [v]
+    impulses = [p]
     converged = False
     steps_to_converge = None
-    for t in range(1, max_steps + 1):
-        # overflow is an expected outcome on unstable maps; it is reported
-        # as a typed error rather than a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            dv = along_edges @ p
-            v_next = v + dv
-        if not (np.all(np.isfinite(dv)) and np.all(np.isfinite(v_next))):
-            raise ImpulseDivergenceError(t)
-        # the impulse is the realized change, so p(t) == v(t) - v(t-1) holds
-        # bit for bit even after rounding
-        p = v_next - v
-        v = v_next
-        values.append(v.copy())
-        impulses.append(p.copy())
-        if np.max(np.abs(p)) < eps:
-            converged = True
-            steps_to_converge = t
-            break
+    # overflow is an expected outcome on unstable maps; it is reported as a
+    # typed error rather than a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, max_steps + 1):
+            # v is finite here, so v_next is non-finite exactly when the
+            # step along the edges is
+            v_next = v + along_edges @ p
+            if not np.isfinite(v_next).all():
+                raise ImpulseDivergenceError(t)
+            # the impulse is the realized change, so p(t) == v(t) - v(t-1)
+            # holds bit for bit even after rounding
+            p = v_next - v
+            v = v_next
+            values.append(v)
+            impulses.append(p)
+            if np.max(np.abs(p)) < eps:
+                converged = True
+                steps_to_converge = t
+                break
     return ImpulseTrace(np.array(values), np.array(impulses), converged, steps_to_converge)
 
 

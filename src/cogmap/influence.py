@@ -22,7 +22,6 @@ simple paths, zero when no path exists, and zero on the diagonal.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,8 +126,7 @@ def pair_influence(
     """Sum of per-path partial influences, in the path set's canonical order.
 
     The summation order is fixed (lexicographic paths, left to right) so
-    results are reproducible bit for bit regardless of how pairs are
-    scheduled across threads.
+    results are reproducible bit for bit.
     """
     total = 0.0
     for path in paths:
@@ -136,12 +134,6 @@ def pair_influence(
             cmap, path, max_weight
         )
     return total
-
-
-def _pair_job(args) -> tuple[int, int, float]:
-    cmap, i, j, mu, max_paths, max_len = args
-    paths = enumerate_with_budget(cmap, i, j, max_paths=max_paths, max_len=max_len)
-    return i, j, pair_influence(cmap, i, j, mu, paths)
 
 
 def influence_matrix(
@@ -155,12 +147,16 @@ def influence_matrix(
 
     Unreachable pairs are skipped via the reachability closure (their entries
     are 0 by definition), the diagonal is 0, and an edgeless map yields the
-    zero matrix.  With ``threads > 1`` pairs are computed concurrently; the
-    result is identical to the sequential one because each pair is a pure
-    function of the map with a fixed internal summation order.
+    zero matrix.  Pairs are computed one by one in row-major order.
+
+    ``threads`` is accepted and has no effect: path accumulation is pure
+    Python, so under the GIL a thread pool was measured slower than the
+    sequential loop.  A process pool comes back only if paired runs on a
+    complete 9-vertex map show a gain.
 
     Raises :class:`PathBudgetError` naming the offending pair if any
-    enumeration exceeds ``max_paths``.
+    enumeration exceeds ``max_paths``; with several, the first in row-major
+    order.
     """
     n = cmap.n
     mu = max_abs_weight(cmap)
@@ -168,19 +164,11 @@ def influence_matrix(
     if mu == 0.0:
         return Z
     reach = reachability_closure(cmap)
-    jobs = [
-        (cmap, i, j, mu, max_paths, max_len)
-        for i in range(n)
-        for j in range(n)
-        if i != j and reach[i, j]
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_pair_job, jobs))
-    else:
-        results = [_pair_job(job) for job in jobs]
-    for i, j, value in results:
-        Z[i, j] = value
+    for i in range(n):
+        for j in range(n):
+            if i != j and reach[i, j]:
+                paths = enumerate_with_budget(cmap, i, j, max_paths=max_paths, max_len=max_len)
+                Z[i, j] = pair_influence(cmap, i, j, mu, paths)
     return Z
 
 

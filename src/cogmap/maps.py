@@ -38,7 +38,6 @@ __all__ = [
     "dumps_map",
     "max_abs_weight",
     "reachability_closure",
-    "sparsify",
     "scale_map",
 ]
 
@@ -221,7 +220,7 @@ def load_map(source: Source, fmt: str = "csv", *, decimal_comma: bool = False) -
     ``fmt`` is ``"csv"`` or ``"json"``.  Raises :class:`ValidationError` with
     the offending row/column named for any malformed input.
     """
-    text = _read_text(source)
+    text = _read_text(source).removeprefix("\ufeff")  # Excel writes a UTF-8 BOM
     if fmt == "csv":
         return _load_csv(text, decimal_comma)
     if fmt == "json":
@@ -281,16 +280,6 @@ def reachability_closure(cmap: CognitiveMap) -> np.ndarray:
         reach = reach | np.outer(reach[:, k], reach[k, :])
     reach.setflags(write=False)
     return reach
-
-
-def sparsify(cmap: CognitiveMap, reach: np.ndarray) -> CognitiveMap:
-    """Zero every weight whose endpoints are not connected per ``reach``.
-
-    Since any edge is itself a path, this is the identity on valid inputs;
-    it is kept as the documented pre-step, and the real pruning happens by
-    skipping unreachable pairs during influence computation.
-    """
-    return CognitiveMap(cmap.weights * reach.astype(float), cmap.labels)
 
 
 def scale_map(cmap: CognitiveMap, eta: float) -> CognitiveMap:

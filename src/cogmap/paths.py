@@ -116,7 +116,12 @@ def enumerate_with_budget(
                 path.pop()
                 on_path[nxt] = False
 
-    walk(source)
+    try:
+        walk(source)
+    finally:
+        # walk refers to itself, a cycle that would keep found's paths alive
+        # until a full garbage collection; unbinding it lets them go by refcount
+        walk = None
     return PathSet(source, target, tuple(found))
 
 

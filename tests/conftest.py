@@ -47,19 +47,6 @@ def cognitive_maps(draw, min_n: int = 2, max_n: int = 6) -> CognitiveMap:
     return CognitiveMap(w)
 
 
-@st.composite
-def square_matrices(draw, min_n: int = 1, max_n: int = 12) -> np.ndarray:
-    n = draw(st.integers(min_n, max_n))
-    cells = draw(
-        st.lists(
-            st.floats(min_value=-100.0, max_value=100.0),
-            min_size=n * n,
-            max_size=n * n,
-        )
-    )
-    return np.array(cells).reshape(n, n)
-
-
 def verify_influence_golden(cmap: CognitiveMap, gold: dict, Z: np.ndarray) -> list[str]:
     """Check a computed influence matrix against a golden file.
 

@@ -97,6 +97,16 @@ class TestAnalyze:
         _, out4, _ = run("analyze", CITY_WASTE, "--threads", "4", "--format", "json")
         assert out1 == out4
 
+    @pytest.mark.parametrize("ext", ["csv", "json"])
+    def test_bom_file_output_is_byte_identical(self, run, tmp_path, ext):
+        plain = fixture_path("four_stable", ext)
+        bom = tmp_path / f"bom.{ext}"
+        bom.write_text(plain.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        code_plain, out_plain, _ = run("analyze", str(plain), "--format", "json")
+        code_bom, out_bom, err = run("analyze", str(bom), "--format", "json")
+        assert (code_plain, code_bom, err) == (0, 0, "")
+        assert out_bom == out_plain
+
     def test_decimal_comma_input(self, run, tmp_path):
         comma = tmp_path / "m.csv"
         comma.write_text("0;0,391\n1;0\n")

@@ -56,7 +56,14 @@ class TestSimulate:
         m = fixture_maps["four_heavy"]
         with pytest.raises(ImpulseDivergenceError) as excinfo:
             simulate(m, unit_impulse(4, 1), max_steps=10_000)
-        assert excinfo.value.step > 0
+        assert excinfo.value.step == 432
+
+    def test_trace_does_not_alias_the_callers_impulse(self, fixture_maps):
+        m = fixture_maps["four_stable"]
+        p0 = unit_impulse(4, 0)
+        trace = simulate(m, p0, max_steps=100)
+        p0[:] = 7.0
+        assert np.array_equal(trace.impulses[0], unit_impulse(4, 0))
 
     def test_argument_validation(self, fixture_maps):
         m = fixture_maps["four_stable"]

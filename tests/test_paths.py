@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
@@ -45,6 +46,20 @@ class TestEnumerate:
         m = fixture_maps["four_stable"]
         ps = enumerate_simple_paths(m, 0, 3)
         assert ps.edge_weights(m, (0, 1, 3)) == (0.391, 1.0)
+
+    def test_leaves_no_garbage_cycle(self, fixture_maps):
+        # a reference cycle would hold every path until a full collection,
+        # so peak memory would grow with the number of pairs enumerated
+        m = fixture_maps["sanitation"]
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_simple_paths(m, 0, 6)
+            with pytest.raises(PathBudgetError):
+                enumerate_with_budget(m, 0, 6, max_paths=1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBudgets:
