@@ -7,6 +7,11 @@ subcommand reads a map file (CSV or JSON, by extension), supports
 ``--format table|json|csv`` and is deterministic: identical inputs and flags
 produce byte-identical output.
 
+Numeric options are checked when the arguments are parsed, before any map is
+read: ``--max-paths``, ``--max-len``, ``--max-steps`` and ``--threads`` take
+integers >= 1, ``--eps`` and ``--eta`` positive finite numbers.  Any other
+value is a usage error, whatever the map.
+
 Exit codes: 0 success, 1 usage, 2 input validation, 3 numerical failure or
 exceeded path budget, 4 method not applicable (impulse scoring on an
 unstable map).
@@ -15,13 +20,14 @@ unstable map).
 from __future__ import annotations
 
 import json
+import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
 import numpy as np
 
+from . import __version__
 from .errors import CogmapError, MethodNotApplicableError, ValidationError
 from .impulse import impulse_general_influence, simulate, stability_check
 from .influence import general_influence, influence_matrix
@@ -29,7 +35,7 @@ from .kosko import total_influence
 from .maps import CognitiveMap, load_map, scale_map
 from .paths import enumerate_with_budget
 
-__all__ = ["cli", "main", "OutputDocument"]
+__all__ = ["cli", "main"]
 
 
 # ---------------------------------------------------------------------------
@@ -80,21 +86,6 @@ def _csv_matrix(Z: np.ndarray, labels) -> str:
     for row in Z:
         out.append(",".join(repr(float(v)) for v in row))
     return "\n".join(out) + "\n"
-
-
-@dataclass(frozen=True)
-class OutputDocument:
-    """A subcommand result: structured payload plus how to render it."""
-
-    method: str
-    payload: dict
-    format: str
-
-    def render(self) -> str:
-        if self.format == "json":
-            return json.dumps(self.payload, indent=2) + "\n"
-        renderer = _TABLE_RENDERERS if self.format == "table" else _CSV_RENDERERS
-        return renderer[self.method](self.payload)
 
 
 def _table_analyze(p: dict) -> str:
@@ -285,29 +276,6 @@ def _csv_scale_check(p: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TABLE_RENDERERS = {
-    "accumulated": _table_analyze,
-    "stability": _table_stability,
-    "paths": _table_paths,
-    "kosko": _table_kosko,
-    "impulse": _table_impulse,
-    "impulse-scores": _table_impulse_scores,
-    "compare": _table_compare,
-    "scale-check": _table_scale_check,
-}
-
-_CSV_RENDERERS = {
-    "accumulated": _csv_analyze,
-    "stability": _csv_stability,
-    "paths": _csv_paths,
-    "kosko": _csv_kosko,
-    "impulse": _csv_impulse,
-    "impulse-scores": _csv_impulse_scores,
-    "compare": _csv_compare,
-    "scale-check": _csv_scale_check,
-}
-
-
 # ---------------------------------------------------------------------------
 # Shared options and helpers
 # ---------------------------------------------------------------------------
@@ -317,20 +285,50 @@ def _load_cli_map(map_file: str, decimal_comma: bool) -> CognitiveMap:
     path = Path(map_file)
     fmt = "json" if path.suffix.lower() == ".json" else "csv"
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read {map_file}: {exc}") from None
-    return load_map(text, fmt, decimal_comma=decimal_comma)
+    return load_map(data, fmt, decimal_comma=decimal_comma)
 
 
-def _echo(doc: OutputDocument) -> None:
-    click.echo(doc.render(), nl=False)
+def _echo(fmt: str, payload: dict, table, csv) -> None:
+    """Write ``payload`` as JSON, or through the command's table or csv renderer."""
+    if fmt == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        text = (table if fmt == "table" else csv)(payload)
+    click.echo(text, nl=False)
 
 
 def _one_based(ctx_name: str, value: int, n: int) -> int:
     if not 1 <= value <= n:
         raise click.UsageError(f"{ctx_name} must be in 1..{n}, got {value}")
     return value - 1
+
+
+def _pair(source: int, target: int, n: int) -> tuple[int, int]:
+    """0-based ``--from``/``--to`` vertices, which must be distinct."""
+    src = _one_based("--from", source, n)
+    dst = _one_based("--to", target, n)
+    if src == dst:
+        raise click.UsageError("--from and --to must differ")
+    return src, dst
+
+
+class _PositiveFloat(click.ParamType):
+    """A finite float greater than zero."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx):
+        number = click.FLOAT.convert(value, param, ctx)
+        if not (math.isfinite(number) and number > 0):
+            self.fail(f"{number:g} is not a positive finite number.", param, ctx)
+        return number
+
+
+POSITIVE_INT = click.IntRange(min=1)
+POSITIVE_FLOAT = _PositiveFloat()
 
 
 format_option = click.option(
@@ -349,21 +347,27 @@ decimal_comma_option = click.option(
 budget_options = (
     click.option(
         "--max-paths",
-        type=int,
+        type=POSITIVE_INT,
         default=10**6,
         show_default=True,
         help="Abort if a vertex pair has more simple paths than this.",
     ),
     click.option(
         "--max-len",
-        type=int,
+        type=POSITIVE_INT,
         default=None,
         help="Bound path length in edges (default: number of vertices).",
     ),
 )
+simulation_options = (
+    click.option(
+        "--eps", type=POSITIVE_FLOAT, default=1e-6, show_default=True, help="Convergence cutoff."
+    ),
+    click.option("--max-steps", type=POSITIVE_INT, default=None, help="Simulation step budget."),
+)
 threads_option = click.option(
     "--threads",
-    type=int,
+    type=POSITIVE_INT,
     default=1,
     show_default=True,
     envvar="COGMAP_THREADS",
@@ -382,7 +386,7 @@ def _add_options(options):
 
 
 @click.group()
-@click.version_option(package_name="cogmap")
+@click.version_option(version=__version__, prog_name="cogmap")
 def cli():
     """Influence analysis of cognitive maps (weighted signed digraphs)."""
 
@@ -395,8 +399,6 @@ def cli():
 @threads_option
 def analyze(map_file, fmt, decimal_comma, max_paths, max_len, threads):
     """Accumulated influence matrix, vertex scores and ranking."""
-    if threads < 1:
-        raise click.UsageError("--threads must be >= 1")
     cmap = _load_cli_map(map_file, decimal_comma)
     Z = influence_matrix(cmap, max_paths=max_paths, max_len=max_len, threads=threads)
     report = general_influence(Z)
@@ -408,7 +410,7 @@ def analyze(map_file, fmt, decimal_comma, max_paths, max_len, threads):
         "scores": list(report.scores),
         "ranking": list(report.ranking),
     }
-    _echo(OutputDocument("accumulated", payload, fmt))
+    _echo(fmt, payload, _table_analyze, _csv_analyze)
 
 
 @cli.command()
@@ -430,7 +432,7 @@ def stability(map_file, fmt, decimal_comma):
             {"re": e.real, "im": e.imag, "magnitude": abs(e)} for e in verdict.eigenvalues
         ],
     }
-    _echo(OutputDocument("stability", payload, fmt))
+    _echo(fmt, payload, _table_stability, _csv_stability)
 
 
 @cli.command()
@@ -443,10 +445,7 @@ def stability(map_file, fmt, decimal_comma):
 def paths(map_file, source, target, fmt, decimal_comma, max_paths, max_len):
     """List all simple paths between two vertices."""
     cmap = _load_cli_map(map_file, decimal_comma)
-    src = _one_based("--from", source, cmap.n)
-    dst = _one_based("--to", target, cmap.n)
-    if src == dst:
-        raise click.UsageError("--from and --to must differ")
+    src, dst = _pair(source, target, cmap.n)
     pathset = enumerate_with_budget(cmap, src, dst, max_paths=max_paths, max_len=max_len)
     payload = {
         "method": "paths",
@@ -461,7 +460,7 @@ def paths(map_file, source, target, fmt, decimal_comma, max_paths, max_len):
             for path in pathset
         ],
     }
-    _echo(OutputDocument("paths", payload, fmt))
+    _echo(fmt, payload, _table_paths, _csv_paths)
 
 
 @cli.command()
@@ -475,10 +474,7 @@ def paths(map_file, source, target, fmt, decimal_comma, max_paths, max_len):
 def kosko(map_file, source, target, abs_weights, fmt, decimal_comma, max_paths, max_len):
     """Weakest-link influence per path and the strongest-path total."""
     cmap = _load_cli_map(map_file, decimal_comma)
-    src = _one_based("--from", source, cmap.n)
-    dst = _one_based("--to", target, cmap.n)
-    if src == dst:
-        raise click.UsageError("--from and --to must differ")
+    src, dst = _pair(source, target, cmap.n)
     result = total_influence(
         cmap, src, dst, abs_weights=abs_weights, max_paths=max_paths, max_len=max_len
     )
@@ -493,7 +489,7 @@ def kosko(map_file, source, target, abs_weights, fmt, decimal_comma, max_paths, 
         ],
         "total": result.total,
     }
-    _echo(OutputDocument("kosko", payload, fmt))
+    _echo(fmt, payload, _table_kosko, _csv_kosko)
 
 
 @cli.command()
@@ -506,8 +502,7 @@ def kosko(map_file, source, target, abs_weights, fmt, decimal_comma, max_paths, 
     show_default=True,
     help="Vertex receiving the unit impulse (1-based).",
 )
-@click.option("--eps", type=float, default=1e-6, show_default=True, help="Convergence cutoff.")
-@click.option("--max-steps", type=int, default=None, help="Simulation step budget.")
+@_add_options(simulation_options)
 @click.option("--scores", is_flag=True, help="Rank all vertices instead of tracing one impulse.")
 @format_option
 @decimal_comma_option
@@ -517,8 +512,6 @@ def impulse(map_file, source, eps, max_steps, scores, fmt, decimal_comma):
     With --format csv the full trace is emitted as t,v_1..v_n,p_1..p_n rows
     for external plotting.
     """
-    if eps <= 0:
-        raise click.UsageError("--eps must be positive")
     cmap = _load_cli_map(map_file, decimal_comma)
     if scores:
         report = impulse_general_influence(cmap, eps=eps, max_steps=max_steps)
@@ -528,7 +521,7 @@ def impulse(map_file, source, eps, max_steps, scores, fmt, decimal_comma):
             "scores": list(report.scores),
             "ranking": list(report.ranking),
         }
-        _echo(OutputDocument("impulse-scores", payload, fmt))
+        _echo(fmt, payload, _table_impulse_scores, _csv_impulse_scores)
         return
     src = _one_based("--from", source, cmap.n)
     p0 = np.zeros(cmap.n)
@@ -546,13 +539,12 @@ def impulse(map_file, source, eps, max_steps, scores, fmt, decimal_comma):
         "trace_values": [[float(x) for x in row] for row in trace.values],
         "trace_impulses": [[float(x) for x in row] for row in trace.impulses],
     }
-    _echo(OutputDocument("impulse", payload, fmt))
+    _echo(fmt, payload, _table_impulse, _csv_impulse)
 
 
 @cli.command()
 @click.argument("map_file", type=click.Path())
-@click.option("--eps", type=float, default=1e-6, show_default=True, help="Convergence cutoff.")
-@click.option("--max-steps", type=int, default=None, help="Simulation step budget.")
+@_add_options(simulation_options)
 @format_option
 @decimal_comma_option
 @_add_options(budget_options)
@@ -564,8 +556,6 @@ def compare(map_file, eps, max_steps, fmt, decimal_comma, max_paths, max_len, th
     map passes the stability check, otherwise its column is marked not
     applicable.
     """
-    if threads < 1:
-        raise click.UsageError("--threads must be >= 1")
     cmap = _load_cli_map(map_file, decimal_comma)
     verdict = stability_check(cmap)
     Z = influence_matrix(cmap, max_paths=max_paths, max_len=max_len, threads=threads)
@@ -584,7 +574,7 @@ def compare(map_file, eps, max_steps, fmt, decimal_comma, max_paths, max_len, th
         "impulse": impulse_part,
         "rankings_agree": agree,
     }
-    _echo(OutputDocument("compare", payload, fmt))
+    _echo(fmt, payload, _table_compare, _csv_compare)
 
 
 @cli.command(name="scale-check")
@@ -592,7 +582,7 @@ def compare(map_file, eps, max_steps, fmt, decimal_comma, max_paths, max_len, th
 @click.option(
     "--eta",
     "etas",
-    type=float,
+    type=POSITIVE_FLOAT,
     multiple=True,
     required=True,
     help="Scale factor to check (repeatable).",
@@ -603,11 +593,6 @@ def compare(map_file, eps, max_steps, fmt, decimal_comma, max_paths, max_len, th
 @threads_option
 def scale_check(map_file, etas, fmt, decimal_comma, max_paths, max_len, threads):
     """Verify that scaling all weights by eta scales every score by eta."""
-    if threads < 1:
-        raise click.UsageError("--threads must be >= 1")
-    for eta in etas:
-        if not eta > 0:
-            raise click.UsageError(f"--eta must be positive, got {eta:g}")
     cmap = _load_cli_map(map_file, decimal_comma)
     base = general_influence(
         influence_matrix(cmap, max_paths=max_paths, max_len=max_len, threads=threads)
@@ -643,7 +628,7 @@ def scale_check(map_file, etas, fmt, decimal_comma, max_paths, max_len, threads)
         "base_ranking": list(base.ranking),
         "checks": checks,
     }
-    _echo(OutputDocument("scale-check", payload, fmt))
+    _echo(fmt, payload, _table_scale_check, _csv_scale_check)
     if not all_identical:
         raise CogmapError("ranking changed under scaling; this indicates a numerical problem")
 

@@ -120,7 +120,7 @@ def simulate(
             v = v_next
             values.append(v)
             impulses.append(p)
-            if np.max(np.abs(p)) < eps:
+            if np.abs(p).max() < eps:
                 converged = True
                 steps_to_converge = t
                 break

@@ -119,13 +119,19 @@ Source = Union[str, bytes, Path, IO]
 
 def _read_text(source: Source) -> str:
     if isinstance(source, Path):
-        return source.read_text(encoding="utf-8")
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+        data = source.read_bytes()
+    elif isinstance(source, (str, bytes)):
+        data = source
+    else:
+        data = source.read()
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}"
+        ) from None
 
 
 def _parse_cell(cell: str, row: int, col: int, decimal_comma: bool) -> float:

@@ -91,9 +91,8 @@ def enumerate_with_budget(
     if max_len < 1:
         raise ValueError(f"max_len must be positive, got {max_len}")
 
-    w = cmap.weights
     n = cmap.n
-    successors = [[j for j in range(n) if w[i, j] != 0.0] for i in range(n)]
+    successors = [[j for j, x in enumerate(row) if x != 0.0] for row in cmap.weights.tolist()]
     found: list[tuple[int, ...]] = []
     path = [source]
     on_path = [False] * n

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -83,6 +84,13 @@ class TestAnalyze:
         assert code == 2
         assert "validation error" in err
 
+    def test_non_utf8_file_is_validation_error(self, run, tmp_path):
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(b"0,1\n1,\xe9\n")
+        code, out, err = run("analyze", str(latin1))
+        assert (code, out) == (2, "")
+        assert err == "validation error: not UTF-8 text: byte 0xe9 at offset 6\n"
+
     def test_missing_file_is_validation_error(self, run):
         code, _, err = run("analyze", "/nonexistent/map.csv")
         assert code == 2
@@ -140,6 +148,75 @@ class TestUsageErrors:
     def test_bad_threads(self, run):
         code, _, _ = run("analyze", FOUR_STABLE, "--threads", "0")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", FOUR_STABLE, "--max-len", "0"],
+            ["analyze", FOUR_STABLE, "--max-paths", "0"],
+            ["paths", FOUR_STABLE, "--from", "1", "--to", "4", "--max-len", "-3"],
+            ["kosko", FOUR_STABLE, "--from", "1", "--to", "2", "--max-paths", "-1"],
+            ["impulse", FOUR_STABLE, "--max-steps", "0"],
+            ["impulse", FOUR_STABLE, "--scores", "--max-steps", "0"],
+            ["compare", FOUR_STABLE, "--max-steps", "0"],
+            ["compare", FOUR_STABLE, "--eps", "0"],
+            ["compare", FOUR_STABLE, "--eps", "nan"],
+            ["impulse", FOUR_STABLE, "--eps", "nan"],
+            ["scale-check", FOUR_STABLE, "--eta", "inf"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if a != FOUR_STABLE),
+    )
+    def test_out_of_range_option_is_usage_error(self, run, argv):
+        code, out, err = run(*argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: Invalid value for '{argv[-2]}'")
+
+
+class TestVersion:
+    def test_version_without_installed_metadata(self, run):
+        code, out, err = run("--version")
+        assert (code, out, err) == (0, "cogmap, version 0.1.0\n", "")
+
+
+# Leading hex digits of the SHA-256 of stdout, recorded before the renderers
+# were called directly.  Table output rounds to 3 decimals and paths/kosko csv
+# and json print weights read from the file, so no BLAS or LAPACK difference
+# between machines moves them.
+PINNED_OUTPUT = {
+    "four_stable table analyze": "7f85d42ce1a5f79d",
+    "four_stable table compare": "500d1ad813eeaea2",
+    "four_stable table scale-check --eta 2 --eta 0.5": "b853dbca4754210b",
+    "four_stable table stability": "c518a1899284072b",
+    "four_stable table impulse --scores": "f2169326bbf951ba",
+    "four_stable table impulse --from 2": "ae25926332099b5d",
+    "four_stable table paths --from 1 --to 4": "2a34ae3fe8ccc96e",
+    "four_stable csv paths --from 1 --to 4": "c621f63b730368e7",
+    "four_stable json paths --from 1 --to 4": "0d3eee18ae347fd4",
+    "four_stable table kosko --from 1 --to 4": "0241039f3049b3e2",
+    "four_stable csv kosko --from 1 --to 4": "9fefe867c521840a",
+    "four_stable json kosko --from 1 --to 4": "acda9a34ff463cb5",
+    "sanitation table analyze": "aa9e976058592e55",
+    "sanitation table compare": "fe2bad3c6d463ba1",
+    "sanitation table scale-check --eta 2 --eta 0.5": "39dc9f4ad826b4b2",
+    "sanitation table stability": "854c87a0da3979a4",
+    "sanitation table impulse --scores": "f472485141204cab",
+    "sanitation table impulse --from 2": "462c69b88c0e962c",
+    "sanitation table paths --from 1 --to 4": "48c2cfc438cb3b42",
+    "sanitation csv paths --from 1 --to 4": "e667603fbea2df51",
+    "sanitation json paths --from 1 --to 4": "58f7af6c8e8e388a",
+    "sanitation table kosko --from 1 --to 4": "f5ecbc56fa4b97fa",
+    "sanitation csv kosko --from 1 --to 4": "951c84573e25315f",
+    "sanitation json kosko --from 1 --to 4": "3cdea298e3e00587",
+}
+
+
+@pytest.mark.parametrize("run_id", PINNED_OUTPUT)
+def test_rendered_output_is_pinned(run, run_id):
+    name, fmt, command, *args = run_id.split()
+    code, out, err = run(command, str(fixture_path(name)), *args, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == PINNED_OUTPUT[run_id]
 
 
 class TestPathsCommand:

@@ -117,6 +117,16 @@ class TestByteOrderMark:
             assert load_map(stream, fmt) == want
 
 
+class TestEncoding:
+    def test_non_utf8_is_validation_error_naming_the_offset(self, tmp_path):
+        data = b"\xe9,1\n1,0\n"
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(data)
+        for source in (data, latin1, io.BytesIO(data)):
+            with pytest.raises(ValidationError, match="byte 0xe9 at offset 0"):
+                load_map(source)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_fixtures_round_trip_both_formats(self, fmt, fixture_maps):
