@@ -2,8 +2,9 @@
 
 The core result is the accumulated influence matrix: every ordered vertex
 pair is scored by walking all simple paths between it with a damped,
-scale-free accumulation, which stays finite for any map, unlike the impulse
-baseline, and scales proportionally when all weights are scaled.  Impulse
+scale-free accumulation, which stays finite on any map, unstable ones
+included (unlike the impulse baseline), unless its weights come near the
+float maximum, and scales proportionally when all weights are scaled.  Impulse
 simulation with spectral stability verdicts and the weakest-link baseline
 are included for comparison, along with file I/O, bundled example maps and
 a command-line interface.
@@ -14,6 +15,7 @@ from .errors import (
     EigenConvergenceError,
     ImpulseDivergenceError,
     MethodNotApplicableError,
+    NonFiniteInfluenceError,
     PathBudgetError,
     ValidationError,
 )
@@ -68,6 +70,7 @@ __all__ = [
     "EigenConvergenceError",
     "ImpulseDivergenceError",
     "MethodNotApplicableError",
+    "NonFiniteInfluenceError",
     "PathBudgetError",
     "ValidationError",
     "CognitiveMap",

@@ -12,7 +12,8 @@ read: ``--max-paths``, ``--max-len``, ``--max-steps`` and ``--threads`` take
 integers >= 1, ``--eps`` and ``--eta`` positive finite numbers.  Any other
 value is a usage error, whatever the map.
 
-Exit codes: 0 success, 1 usage, 2 input validation, 3 numerical failure or
+Exit codes: 0 success, 1 usage, 2 input validation, 3 numerical failure
+(including an influence or score that overflows, with nothing on stdout) or
 exceeded path budget, 4 method not applicable (impulse scoring on an
 unstable map).
 """

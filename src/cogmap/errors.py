@@ -30,6 +30,24 @@ class PathBudgetError(CogmapError):
         )
 
 
+class NonFiniteInfluenceError(CogmapError):
+    """An accumulated influence or a vertex score is not finite.
+
+    One path can accumulate up to twice the largest weight, and sums over
+    paths or over a row reach infinity sooner, so weights near the float
+    maximum overflow.  ``pair`` names the first non-finite entry of the
+    influence matrix in row-major order and ``max_weight`` its map's largest
+    absolute weight; ``row`` names the first score whose sum overflows.  The
+    attributes that do not apply are None.
+    """
+
+    def __init__(self, message: str, *, pair=None, row=None, max_weight=None):
+        self.pair = pair
+        self.row = row
+        self.max_weight = max_weight
+        super().__init__(message)
+
+
 class ImpulseDivergenceError(CogmapError):
     """An impulse simulation produced a non-finite value."""
 

@@ -11,7 +11,8 @@ with damping(x) = 1 - exp(-2x), the exponential CDF with rate 2.  Dividing by
 the map's largest absolute weight before damping makes the recurrence
 scale-free, and because 0 <= damping < 1 every boost factor stays in (0, 2),
 so any accumulated value is bounded by twice the largest weight no matter how
-long the path.
+long the path (a bound that itself overflows for weights near the float
+maximum, where :func:`influence_matrix` raises instead).
 
 The path's contribution is the full accumulation minus the same accumulation
 started after the first edge (the part of the influence that does not involve
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import CognitiveMap, max_abs_weight, reachability_closure
+from .errors import NonFiniteInfluenceError, PathBudgetError
+from .maps import CognitiveMap, max_abs_weight
 from .paths import DEFAULT_MAX_PATHS, PathSet, enumerate_with_budget
 
 __all__ = [
@@ -145,31 +147,111 @@ def influence_matrix(
 ) -> np.ndarray:
     """The full n x n matrix of accumulated pairwise influences.
 
-    Unreachable pairs are skipped via the reachability closure (their entries
-    are 0 by definition), the diagonal is 0, and an edgeless map yields the
-    zero matrix.  Pairs are computed one by one in row-major order.
+    Each source row is one iterative depth-first walk over the simple paths
+    leaving it, neighbours in ascending order.  Every path the walk reaches
+    ends at some target, so extending it by one edge costs one step of each
+    recurrence and adds the path's partial influence to that target's entry;
+    the walk then goes on through the target to later ones.  Preorder visits
+    each target's paths in lexicographic order, the order of
+    :func:`pair_influence` over :func:`enumerate_with_budget`, so every sum is
+    formed in the same order and the matrix is bit-identical to the pair by
+    pair definition.  Unreachable pairs and the diagonal stay 0, and an
+    edgeless map yields the zero matrix.
 
-    ``threads`` is accepted and has no effect: path accumulation is pure
-    Python, so under the GIL a thread pool was measured slower than the
-    sequential loop.  A process pool comes back only if paired runs on a
-    complete 9-vertex map show a gain.
+    ``threads`` is accepted and has no effect: the walk is pure Python, so
+    under the GIL a thread pool was measured slower than the sequential loop.
 
-    Raises :class:`PathBudgetError` naming the offending pair if any
-    enumeration exceeds ``max_paths``; with several, the first in row-major
-    order.
+    ``max_paths`` bounds the paths counted per pair.  A row stops at its
+    first overflowing target; the smaller targets of that row are re-checked
+    pair by pair (each check stops after ``max_paths + 1`` paths), so the
+    :class:`PathBudgetError` names the first overflowing pair in row-major
+    order.  Raises :class:`NonFiniteInfluenceError` naming the first
+    non-finite entry when weights near the float maximum overflow.
     """
     n = cmap.n
     mu = max_abs_weight(cmap)
     Z = np.zeros((n, n))
     if mu == 0.0:
         return Z
-    reach = reachability_closure(cmap)
-    for i in range(n):
-        for j in range(n):
-            if i != j and reach[i, j]:
-                paths = enumerate_with_budget(cmap, i, j, max_paths=max_paths, max_len=max_len)
-                Z[i, j] = pair_influence(cmap, i, j, mu, paths)
+    if max_paths < 1:
+        raise ValueError(f"max_paths must be positive, got {max_paths}")
+    if max_len is None:
+        max_len = n
+    if max_len < 1:
+        raise ValueError(f"max_len must be positive, got {max_len}")
+    successors = [
+        [(j, w) for j, w in enumerate(row) if w != 0.0] for row in cmap.weights.tolist()
+    ]
+    for source in range(n):
+        row, overflow = _source_row(successors, source, mu, max_len, max_paths)
+        if overflow is not None:
+            # a smaller target may overflow later in the walk; the first to
+            # raise here is the first overflowing pair in row-major order
+            for target in range(overflow):
+                if target != source:
+                    enumerate_with_budget(
+                        cmap, source, target, max_paths=max_paths, max_len=max_len
+                    )
+            raise PathBudgetError(source, overflow, max_paths + 1, max_paths)
+        Z[source] = row
+    bad = np.argwhere(~np.isfinite(Z))
+    if bad.size:
+        i, j = (int(k) for k in bad[0])
+        raise NonFiniteInfluenceError(
+            f"influence of vertex {i + 1} on vertex {j + 1} is {float(Z[i, j])!r}: weights "
+            f"this large overflow the accumulation (largest |weight| {mu!r})",
+            pair=(i, j),
+            max_weight=mu,
+        )
     return Z
+
+
+def _source_row(successors, source, mu, max_len, max_paths):
+    """One source row by an iterative walk; ``(row, None)`` or ``(None, target)``.
+
+    Frames hold ``(vertex, successor iterator, z_full, z_trunc, edges)``.  The
+    recurrence step is inlined and gives the same floats as :func:`_walk`:
+    for z < 0, ``2 * (z / mu)`` is exactly ``-2 * |z / mu|``, and z == 0 gives
+    ``w`` as sign(0) = 0 does, so each path's ``full - truncated`` has the
+    same bits.
+    """
+    expm1 = math.expm1
+    row = [0.0] * len(successors)
+    count = [0] * len(successors)
+    on_path = [False] * len(successors)
+    on_path[source] = True
+    stack = [(source, iter(successors[source]), 0.0, 0.0, 0)]
+    while stack:
+        vertex, succ, zf, zt, edges = stack[-1]
+        for v, w in succ:
+            if on_path[v]:
+                continue
+            if zf > 0.0:
+                nf = (1.0 - expm1(-2.0 * (zf / mu))) * w
+            elif zf < 0.0:
+                nf = (1.0 + expm1(2.0 * (zf / mu))) * w
+            else:
+                nf = w
+            if not edges:  # the truncated walk starts after the first edge
+                nt = 0.0
+            elif zt > 0.0:
+                nt = (1.0 - expm1(-2.0 * (zt / mu))) * w
+            elif zt < 0.0:
+                nt = (1.0 + expm1(2.0 * (zt / mu))) * w
+            else:
+                nt = w
+            row[v] += nf - nt
+            count[v] += 1
+            if count[v] > max_paths:
+                return None, v
+            if edges + 1 < max_len:
+                on_path[v] = True
+                stack.append((v, iter(successors[v]), nf, nt, edges + 1))
+                break
+        else:
+            stack.pop()
+            on_path[vertex] = False
+    return row, None
 
 
 @dataclass(frozen=True)
@@ -192,9 +274,23 @@ def rank_by_score(scores) -> tuple[int, ...]:
 
 
 def general_influence(Z: np.ndarray) -> InfluenceReport:
-    """Row sums of |Z|: how much each vertex influences the rest, ranked."""
+    """Row sums of |Z|: how much each vertex influences the rest, ranked.
+
+    Raises :class:`NonFiniteInfluenceError` naming the first row whose sum is
+    not finite, instead of ranking infinite scores.
+    """
     Z = np.asarray(Z, dtype=float)
-    scores = tuple(float(s) for s in np.abs(Z).sum(axis=1))
+    with np.errstate(over="ignore"):
+        sums = np.abs(Z).sum(axis=1)
+    bad = np.flatnonzero(~np.isfinite(sums))
+    if bad.size:
+        i = int(bad[0])
+        raise NonFiniteInfluenceError(
+            f"influence score of vertex {i + 1} is {float(sums[i])!r}: the sum of "
+            f"|influence| over its row overflows",
+            row=i,
+        )
+    scores = tuple(float(s) for s in sums)
     return InfluenceReport(scores, rank_by_score(scores))
 
 

@@ -1,11 +1,13 @@
 """Enumeration of simple directed paths between an ordered vertex pair.
 
 A simple path visits no vertex twice.  Enumeration is a forward depth-first
-search over nonzero edges with a visited set, exploring neighbours in
-ascending index order, which yields paths in lexicographic order by vertex
-sequence.  Two runs on the same map therefore produce identical ordered
-results, and distinct source/target pairs can be enumerated concurrently
-(the map is immutable and the search keeps no shared state).
+search over nonzero edges with a visited set and an explicit stack (so a
+path may be longer than the interpreter's recursion limit), exploring
+neighbours in ascending index order, which yields paths in lexicographic
+order by vertex sequence.  Two runs on the same map therefore produce
+identical ordered results, and distinct source/target pairs can be
+enumerated concurrently (the map is immutable and the search keeps no
+shared state).
 
 Path counts explode combinatorially (between two fixed vertices of the
 complete digraph K_n there are already 1957 simple paths at n = 8), so the
@@ -97,30 +99,23 @@ def enumerate_with_budget(
     path = [source]
     on_path = [False] * n
     on_path[source] = True
-
-    def walk(vertex: int) -> None:
-        # a path of k vertices has k-1 edges; len(path) <= max_len holds
-        # throughout, so closing with the target never exceeds the bound
-        depth = len(path)
-        for nxt in successors[vertex]:
+    stack = [iter(successors[source])]  # one successor iterator per path vertex
+    while stack:
+        for nxt in stack[-1]:
             if nxt == target:
                 if len(found) >= max_paths:
                     raise PathBudgetError(source, target, len(found) + 1, max_paths)
                 found.append(tuple(path) + (target,))
-                continue
-            if depth < max_len and not on_path[nxt]:
+            # a path of k vertices has k-1 edges; len(path) <= max_len holds
+            # throughout, so closing with the target never exceeds the bound
+            elif len(path) < max_len and not on_path[nxt]:
                 on_path[nxt] = True
                 path.append(nxt)
-                walk(nxt)
-                path.pop()
-                on_path[nxt] = False
-
-    try:
-        walk(source)
-    finally:
-        # walk refers to itself, a cycle that would keep found's paths alive
-        # until a full garbage collection; unbinding it lets them go by refcount
-        walk = None
+                stack.append(iter(successors[nxt]))
+                break
+        else:
+            stack.pop()
+            on_path[path.pop()] = False
     return PathSet(source, target, tuple(found))
 
 

@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 import cogmap.eigen
-from cogmap import EigenConvergenceError, fixture_path, influence_matrix, load_fixture, load_map
+from cogmap import (
+    CognitiveMap,
+    EigenConvergenceError,
+    fixture_path,
+    influence_matrix,
+    load_fixture,
+    load_map,
+    save_map,
+)
 from cogmap.cli import main
 
 
@@ -94,6 +102,16 @@ class TestAnalyze:
     def test_missing_file_is_validation_error(self, run):
         code, _, err = run("analyze", "/nonexistent/map.csv")
         assert code == 2
+
+    def test_overflowing_weights_are_exit_3(self, run, tmp_path):
+        cycle = tmp_path / "cycle.csv"
+        cycle.write_text("0,1e308,0\n0,0,1e308\n1e308,0,0\n")
+        code, out, err = run("analyze", str(cycle), "--format", "json")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: influence of vertex 1 on vertex 3 is inf: weights this large "
+            "overflow the accumulation (largest |weight| 1e+308)\n"
+        )
 
     def test_budget_exceeded_is_exit_3(self, run):
         code, _, err = run("analyze", FOUR_STABLE, "--max-paths", "1")
@@ -243,6 +261,16 @@ class TestPathsCommand:
         code, out, _ = run("paths", FOUR_STABLE, "--from", "1", "--to", "4", "--format", "csv")
         assert out.splitlines() == ["1,2,4", "1,3,4"]
 
+    def test_chain_longer_than_the_recursion_limit(self, run, tmp_path):
+        n = 1500
+        w = np.zeros((n, n))
+        w[np.arange(n - 1), np.arange(1, n)] = 0.5
+        chain = tmp_path / "chain.csv"
+        save_map(CognitiveMap(w), chain)
+        code, out, err = run("paths", str(chain), "--from", "1", "--to", str(n), "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [",".join(str(v) for v in range(1, n + 1))]
+
 
 class TestKoskoCommand:
     def test_table(self, run):
@@ -375,6 +403,14 @@ class TestScaleCheckCommand:
         )
         assert code == 0
         assert out.count("ranking identical") == 3
+
+    def test_overflowing_scale_is_exit_3(self, run):
+        code, out, err = run("scale-check", SANITATION, "--eta", "1e308")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: influence score of vertex 1 is inf: the sum of |influence| "
+            "over its row overflows\n"
+        )
 
     def test_requires_eta(self, run):
         code, _, _ = run("scale-check", SANITATION)

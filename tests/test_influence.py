@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from cogmap import (
     CognitiveMap,
+    NonFiniteInfluenceError,
     PathBudgetError,
     accumulate_full,
     accumulate_truncated,
     complete_map,
     damping,
     enumerate_simple_paths,
+    enumerate_with_budget,
     general_influence,
     golden,
     influence_matrix,
@@ -140,6 +142,99 @@ class TestInfluenceMatrixGolden:
         sequential = influence_matrix(m)
         threaded = influence_matrix(m, threads=4)
         assert np.array_equal(sequential, threaded)
+
+
+def pairwise_matrix(m, max_len=None):
+    """The influence matrix by the per-pair definition: enumerate, then sum."""
+    mu = max_abs_weight(m)
+    Z = np.zeros((m.n, m.n))
+    if mu == 0.0:
+        return Z
+    for i in range(m.n):
+        for j in range(m.n):
+            if i != j:
+                paths = enumerate_with_budget(m, i, j, max_len=max_len)
+                Z[i, j] = pair_influence(m, i, j, mu, paths)
+    return Z
+
+
+def first_overflowing_pair(m, max_paths, max_len=None):
+    """The first pair in row-major order with more than ``max_paths`` paths."""
+    for i in range(m.n):
+        for j in range(m.n):
+            if i != j:
+                try:
+                    enumerate_with_budget(m, i, j, max_paths=max_paths, max_len=max_len)
+                except PathBudgetError:
+                    return i, j
+    return None
+
+
+class TestKernelAgainstReference:
+    @given(
+        m=cognitive_maps(max_n=7),
+        max_len=st.sampled_from([None, 1, 2, 3]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_pairwise_definition(self, m, max_len):
+        Z = influence_matrix(m, max_len=max_len)
+        assert Z.tobytes() == pairwise_matrix(m, max_len).tobytes()
+
+    @pytest.mark.parametrize("name", ["four_stable", "city_waste", "sanitation_doubled"])
+    def test_fixtures_bit_identical(self, name, fixture_maps):
+        m = fixture_maps[name]
+        assert influence_matrix(m).tobytes() == pairwise_matrix(m).tobytes()
+
+    def test_budget_error_names_first_overflowing_pair(self):
+        rng = np.random.default_rng(16)
+        maps = [complete_map(n, 0.5) for n in (3, 4, 5, 6)]
+        maps += [random_map(rng, int(rng.integers(3, 8)), density=0.6) for _ in range(30)]
+        raised = 0
+        for m in maps:
+            for max_paths in (1, 2, 3, 5, 10):
+                for max_len in (None, 2):
+                    pair = first_overflowing_pair(m, max_paths, max_len)
+                    if pair is None:
+                        influence_matrix(m, max_paths=max_paths, max_len=max_len)
+                        continue
+                    with pytest.raises(PathBudgetError) as excinfo:
+                        influence_matrix(m, max_paths=max_paths, max_len=max_len)
+                    err = excinfo.value
+                    assert (err.source, err.target) == pair
+                    assert (err.found, err.max_paths) == (max_paths + 1, max_paths)
+                    raised += 1
+        assert raised > 50  # the maps do overflow, so the check is not vacuous
+
+    def test_budget_error_for_earlier_target_found_later_in_the_walk(self):
+        # from vertex 0 the walk reaches 2 twice, via (0, 1, 2) and (0, 2),
+        # before its second path to 1, (0, 2, 1): with one path allowed, 2
+        # overflows first in walk order but (0, 1) is first in row-major order
+        w = np.zeros((3, 3))
+        w[0, 1] = w[0, 2] = w[1, 2] = w[2, 1] = 1.0
+        with pytest.raises(PathBudgetError) as excinfo:
+            influence_matrix(CognitiveMap(w), max_paths=1)
+        assert (excinfo.value.source, excinfo.value.target) == (0, 1)
+
+
+class TestNonFinite:
+    def test_overflowing_weights_name_the_first_pair(self):
+        w = np.zeros((3, 3))
+        w[0, 1] = w[1, 2] = w[2, 0] = 1e308
+        with pytest.raises(NonFiniteInfluenceError, match="vertex 1 on vertex 3") as excinfo:
+            influence_matrix(CognitiveMap(w))
+        assert excinfo.value.pair == (0, 2)
+        assert excinfo.value.max_weight == 1e308
+        assert "1e+308" in str(excinfo.value)
+
+    def test_overflowing_row_sum_names_the_row(self):
+        Z = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1e308, 1e308, 0.0]])
+        with pytest.raises(NonFiniteInfluenceError, match="score of vertex 3") as excinfo:
+            general_influence(Z)
+        assert excinfo.value.row == 2
+
+    def test_largest_finite_sum_is_scored(self):
+        Z = np.array([[0.0, 8e307], [8e307, 0.0]])
+        assert general_influence(Z).scores == (8e307, 8e307)
 
 
 class TestGeneralInfluence:
