@@ -10,108 +10,26 @@ are included for comparison, along with file I/O, bundled example maps and
 a command-line interface.
 """
 
-from .errors import (
-    CogmapError,
-    EigenConvergenceError,
-    ImpulseDivergenceError,
-    MethodNotApplicableError,
-    NonFiniteInfluenceError,
-    PathBudgetError,
-    ValidationError,
-)
-from .maps import (
-    CognitiveMap,
-    complete_map,
-    dumps_map,
-    load_map,
-    max_abs_weight,
-    reachability_closure,
-    save_map,
-    scale_map,
-)
-from .paths import (
-    DEFAULT_MAX_PATHS,
-    PathSet,
-    count_paths_complete,
-    enumerate_simple_paths,
-    enumerate_with_budget,
-)
-from .influence import (
-    InfluenceReport,
-    PathInfluence,
-    accumulate_full,
-    accumulate_truncated,
-    damping,
-    general_influence,
-    influence_matrix,
-    pair_influence,
-    path_influence,
-    rank_by_score,
-    two_edge_sign,
-)
-from .eigen import eigenvalues
-from .impulse import (
-    ImpulseReport,
-    ImpulseTrace,
-    StabilityVerdict,
-    characteristic_constants,
-    default_max_steps,
-    impulse_general_influence,
-    simulate,
-    stability_check,
-)
-from .kosko import KoskoInfluence, path_indirect_influence, total_influence
-from .fixtures import FIXTURE_NAMES, fixture_path, golden, load_fixture
+from . import eigen, errors, fixtures, impulse, influence, kosko, maps, paths
+from .eigen import *
+from .errors import *
+from .fixtures import *
+from .impulse import *
+from .influence import *
+from .kosko import *
+from .maps import *
+from .paths import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CogmapError",
-    "EigenConvergenceError",
-    "ImpulseDivergenceError",
-    "MethodNotApplicableError",
-    "NonFiniteInfluenceError",
-    "PathBudgetError",
-    "ValidationError",
-    "CognitiveMap",
-    "complete_map",
-    "dumps_map",
-    "load_map",
-    "max_abs_weight",
-    "reachability_closure",
-    "save_map",
-    "scale_map",
-    "DEFAULT_MAX_PATHS",
-    "PathSet",
-    "count_paths_complete",
-    "enumerate_simple_paths",
-    "enumerate_with_budget",
-    "InfluenceReport",
-    "PathInfluence",
-    "accumulate_full",
-    "accumulate_truncated",
-    "damping",
-    "general_influence",
-    "influence_matrix",
-    "pair_influence",
-    "path_influence",
-    "rank_by_score",
-    "two_edge_sign",
-    "eigenvalues",
-    "ImpulseReport",
-    "ImpulseTrace",
-    "StabilityVerdict",
-    "characteristic_constants",
-    "default_max_steps",
-    "impulse_general_influence",
-    "simulate",
-    "stability_check",
-    "KoskoInfluence",
-    "path_indirect_influence",
-    "total_influence",
-    "FIXTURE_NAMES",
-    "fixture_path",
-    "golden",
-    "load_fixture",
+    *errors.__all__,
+    *maps.__all__,
+    *paths.__all__,
+    *influence.__all__,
+    *eigen.__all__,
+    *impulse.__all__,
+    *kosko.__all__,
+    *fixtures.__all__,
     "__version__",
 ]

@@ -558,19 +558,22 @@ def compare(map_file, eps, max_steps, fmt, decimal_comma, max_paths, max_len, th
     applicable.
     """
     cmap = _load_cli_map(map_file, decimal_comma)
-    verdict = stability_check(cmap)
     Z = influence_matrix(cmap, max_paths=max_paths, max_len=max_len, threads=threads)
     acc = general_influence(Z)
-    impulse_part = None
-    agree = None
-    if verdict.stable:
+    try:
         report = impulse_general_influence(cmap, eps=eps, max_steps=max_steps)
+    except MethodNotApplicableError as exc:
+        if exc.verdict.stable:  # a stable map that did not converge: exit 4
+            raise
+        stable, impulse_part, agree = False, None, None
+    else:
+        stable = True
         impulse_part = {"scores": list(report.scores), "ranking": list(report.ranking)}
         agree = list(report.ranking) == list(acc.ranking)
     payload = {
         "method": "compare",
         "labels": list(cmap.labels) if cmap.labels else None,
-        "stable": verdict.stable,
+        "stable": stable,
         "accumulated": {"scores": list(acc.scores), "ranking": list(acc.ranking)},
         "impulse": impulse_part,
         "rankings_agree": agree,

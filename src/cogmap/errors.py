@@ -2,6 +2,16 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "CogmapError",
+    "ValidationError",
+    "PathBudgetError",
+    "NonFiniteInfluenceError",
+    "ImpulseDivergenceError",
+    "MethodNotApplicableError",
+    "EigenConvergenceError",
+]
+
 
 class CogmapError(Exception):
     """Base class for all cogmap-specific errors."""
@@ -14,9 +24,10 @@ class ValidationError(CogmapError):
 class PathBudgetError(CogmapError):
     """Simple-path enumeration hit its path-count budget.
 
-    Carries the pair being enumerated and how many paths were found before
-    the search was aborted, so callers never mistake an aborted enumeration
-    for a complete one.
+    Carries the pair being enumerated (0-based ``source`` and ``target``;
+    the message uses 1-based vertex numbers) and how many paths were found
+    before the search was aborted, so callers never mistake an aborted
+    enumeration for a complete one.
     """
 
     def __init__(self, source: int, target: int, found: int, max_paths: int):
@@ -25,8 +36,8 @@ class PathBudgetError(CogmapError):
         self.found = found
         self.max_paths = max_paths
         super().__init__(
-            f"path enumeration for pair ({source}, {target}) exceeded the "
-            f"budget of {max_paths} paths ({found} found before aborting)"
+            f"path enumeration from vertex {source + 1} to vertex {target + 1} "
+            f"exceeded the budget of {max_paths} paths ({found} found before aborting)"
         )
 
 
@@ -69,7 +80,3 @@ class MethodNotApplicableError(CogmapError):
 
 class EigenConvergenceError(CogmapError):
     """The eigenvalue computation (LAPACK's QR iteration) failed to converge."""
-
-    def __init__(self, message: str, iterations: int | None = None):
-        self.iterations = iterations
-        super().__init__(message)

@@ -151,18 +151,16 @@ class StabilityVerdict:
         return self.magnitudes[0] if self.magnitudes else 0.0
 
 
-def characteristic_constants(cmap: CognitiveMap, *, drop_zero: bool = True) -> np.ndarray:
-    """Eigenvalues of the weight matrix, descending by magnitude.
+def characteristic_constants(cmap: CognitiveMap) -> np.ndarray:
+    """Nonzero eigenvalues of the weight matrix, descending by magnitude.
 
-    By default eigenvalues indistinguishable from zero (|lambda| <= 1e-9 on
-    the matrix's own scale) are dropped, since only nonzero ones enter the
-    stability criterion.
+    Eigenvalues indistinguishable from zero (|lambda| <= 1e-9 on the
+    matrix's own scale) are dropped, since only nonzero ones enter the
+    stability criterion; :func:`eigenvalues` returns them all.
     """
     eigs = eigenvalues(cmap.weights)
-    if drop_zero:
-        scale = max(1.0, float(np.max(np.abs(cmap.weights))))
-        eigs = eigs[np.abs(eigs) > ZERO_EIGENVALUE_TOL * scale]
-    return eigs
+    scale = max(1.0, float(np.max(np.abs(cmap.weights))))
+    return eigs[np.abs(eigs) > ZERO_EIGENVALUE_TOL * scale]
 
 
 def stability_check(cmap: CognitiveMap) -> StabilityVerdict:
@@ -233,6 +231,7 @@ def impulse_general_influence(
 
 
 def _verdict_reason(verdict: StabilityVerdict) -> str:
+    """Why an unstable verdict failed; at least one reason always applies."""
     reasons = []
     if not verdict.all_within_unit:
         reasons.append(
@@ -240,4 +239,4 @@ def _verdict_reason(verdict: StabilityVerdict) -> str:
         )
     if not verdict.all_distinct:
         reasons.append("the nonzero eigenvalues are not pairwise distinct")
-    return " and ".join(reasons) if reasons else "the map failed the stability criterion"
+    return " and ".join(reasons)

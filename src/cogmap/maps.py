@@ -88,10 +88,6 @@ class CognitiveMap:
     def n(self) -> int:
         return self.weights.shape[0]
 
-    def label(self, i: int) -> str:
-        """Human-readable name of vertex ``i`` (1-based number if unlabeled)."""
-        return self.labels[i] if self.labels else str(i + 1)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CognitiveMap):
             return NotImplemented
@@ -187,7 +183,8 @@ def _load_csv(text: str, decimal_comma: bool) -> CognitiveMap:
 def _load_json(text: str) -> CognitiveMap:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError also covers integer literals over the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "weights" not in doc:
         raise ValidationError('JSON map must be an object with a "weights" key')
@@ -207,9 +204,13 @@ def _load_json(text: str) -> CognitiveMap:
                 raise ValidationError(
                     f"non-numeric cell at row {i + 1}, column {j + 1}: {cell!r}"
                 )
-            if not math.isfinite(cell):
-                raise ValidationError(f"non-finite cell at row {i + 1}, column {j + 1}: {cell!r}")
-            matrix[i, j] = float(cell)
+            try:
+                value = float(cell)
+            except OverflowError:  # an integer literal beyond the float range
+                value = math.inf
+            if not math.isfinite(value):
+                raise ValidationError(f"non-finite cell at row {i + 1}, column {j + 1}: {value!r}")
+            matrix[i, j] = value
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import cogmap.eigen
+import cogmap.impulse
 from cogmap import (
     CognitiveMap,
     EigenConvergenceError,
@@ -117,6 +118,23 @@ class TestAnalyze:
         code, _, err = run("analyze", FOUR_STABLE, "--max-paths", "1")
         assert code == 3
         assert "budget" in err
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            "[" * 100_000 + "]" * 100_000,
+            "[[0, 1" + "0" * 5000 + "], [1, 0]]",
+            "[[0, 1" + "0" * 400 + "], [1, 0]]",
+        ],
+        ids=["nested-100000-deep", "5001-digit-integer", "401-digit-integer"],
+    )
+    def test_hostile_json_is_validation_error(self, tmp_path, weights):
+        hostile = tmp_path / "hostile.json"
+        hostile.write_text('{"weights": ' + weights + "}")
+        code, out, err = run_subprocess("analyze", str(hostile))
+        assert (code, out) == (2, "")
+        assert err.startswith("validation error: ")
+        assert "Traceback" not in err
 
     def test_threads_do_not_change_output(self, run):
         _, out1, _ = run("analyze", CITY_WASTE, "--threads", "1", "--format", "json")
@@ -235,6 +253,23 @@ def test_rendered_output_is_pinned(run, run_id):
     code, out, err = run(command, str(fixture_path(name)), *args, "--format", fmt)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == PINNED_OUTPUT[run_id]
+
+
+@pytest.mark.parametrize(
+    "argv, pair",
+    [
+        (("paths", FOUR_STABLE, "--from", "1", "--to", "4"), "from vertex 1 to vertex 4"),
+        (("analyze", SANITATION), "from vertex 1 to vertex 6"),
+    ],
+    ids=["paths", "analyze"],
+)
+def test_budget_error_numbers_vertices_from_1(run, argv, pair):
+    code, out, err = run(*argv, "--max-paths", "1")
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: path enumeration {pair} exceeded the budget of 1 paths "
+        "(2 found before aborting)\n"
+    )
 
 
 class TestPathsCommand:
@@ -381,6 +416,23 @@ class TestCompareCommand:
         code, out, _ = run("compare", SANITATION)
         assert code == 0
         assert "rankings differ" in out
+
+    def test_stable_map_that_does_not_converge_is_exit_4(self, run):
+        code, out, err = run("compare", FOUR_STABLE, "--max-steps", "3")
+        assert (code, out) == (4, "")
+        assert "despite a stable verdict" in err
+
+    @pytest.mark.parametrize("name", ["four_stable", "sanitation"])
+    def test_one_eigensolve_per_run(self, run, monkeypatch, name):
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return cogmap.eigen.eigenvalues(a)
+
+        monkeypatch.setattr(cogmap.impulse, "eigenvalues", counting)
+        code, _, _ = run("compare", str(fixture_path(name)))
+        assert (code, len(calls)) == (0, 1)
 
     def test_json_payload(self, run):
         code, out, _ = run("compare", FOUR_STABLE, "--format", "json")

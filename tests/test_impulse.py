@@ -8,6 +8,7 @@ from cogmap import (
     ImpulseDivergenceError,
     MethodNotApplicableError,
     characteristic_constants,
+    eigenvalues,
     golden,
     impulse_general_influence,
     scale_map,
@@ -93,7 +94,7 @@ class TestCharacteristicConstants:
     def test_zero_eigenvalues_dropped(self, fixture_maps):
         m = fixture_maps["four_stable"]
         assert len(characteristic_constants(m)) == 3
-        assert len(characteristic_constants(m, drop_zero=False)) == 4
+        assert len(eigenvalues(m.weights)) == 4
 
     def test_stable_map_eigenvalue_values(self, fixture_maps):
         # one real at 0.8 plus the conjugate pair 0.4 * (-1 +- i sqrt(3))

@@ -360,6 +360,22 @@ class TestProperties:
         scaled = influence_matrix(scale_map(m, eta))
         assert np.allclose(scaled, eta * base, rtol=1e-9, atol=1e-300)
 
+    # multiplying by a power of two is exact barring overflow and subnormals,
+    # and it leaves z / mu unchanged, so every step of the recurrence and
+    # every sum scales exactly
+    @pytest.mark.parametrize("eta", [2.0, 0.5, 2.0**40, 2.0**-40])
+    def test_power_of_two_scaling_is_exact(self, eta, fixture_maps):
+        for m in fixture_maps.values():
+            scaled = influence_matrix(scale_map(m, eta))
+            assert scaled.tobytes() == (eta * influence_matrix(m)).tobytes()
+
+    @given(m=cognitive_maps(), eta=st.sampled_from([2.0, 0.5, 2.0**40, 2.0**-40]))
+    @settings(max_examples=100, deadline=None)
+    def test_power_of_two_scaling_is_exact_random(self, m, eta):
+        # weights are 0 or 1e-3 < |w| <= 8, so scaled ones stay normal floats
+        scaled = influence_matrix(scale_map(m, eta))
+        assert scaled.tobytes() == (eta * influence_matrix(m)).tobytes()
+
     @pytest.mark.parametrize(
         "name", ["four_unstable", "four_heavy", "city_waste", "electricity", "sanitation_doubled"]
     )
