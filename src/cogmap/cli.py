@@ -430,7 +430,8 @@ def stability(map_file, fmt, decimal_comma):
         "spectral_radius": verdict.spectral_radius,
         "magnitudes": list(verdict.magnitudes),
         "eigenvalues": [
-            {"re": e.real, "im": e.imag, "magnitude": abs(e)} for e in verdict.eigenvalues
+            {"re": e.real, "im": e.imag, "magnitude": m}
+            for e, m in zip(verdict.eigenvalues, verdict.magnitudes)
         ],
     }
     _echo(fmt, payload, _table_stability, _csv_stability)

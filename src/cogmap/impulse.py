@@ -23,13 +23,12 @@ import numpy as np
 
 from .eigen import eigenvalues
 from .errors import ImpulseDivergenceError, MethodNotApplicableError
-from .influence import rank_by_score
-from .maps import CognitiveMap
+from .influence import InfluenceReport, rank_by_score
+from .maps import CognitiveMap, max_abs_weight
 
 __all__ = [
     "ImpulseTrace",
     "StabilityVerdict",
-    "ImpulseReport",
     "simulate",
     "characteristic_constants",
     "stability_check",
@@ -159,7 +158,7 @@ def characteristic_constants(cmap: CognitiveMap) -> np.ndarray:
     stability criterion; :func:`eigenvalues` returns them all.
     """
     eigs = eigenvalues(cmap.weights)
-    scale = max(1.0, float(np.max(np.abs(cmap.weights))))
+    scale = max(1.0, max_abs_weight(cmap))
     return eigs[np.abs(eigs) > ZERO_EIGENVALUE_TOL * scale]
 
 
@@ -178,26 +177,17 @@ def stability_check(cmap: CognitiveMap) -> StabilityVerdict:
     return StabilityVerdict(tuple(complex(e) for e in eigs), mags, all_distinct, all_within_unit)
 
 
-@dataclass(frozen=True)
-class ImpulseReport:
-    """Per-vertex impulse influence scores plus the descending ranking.
+def impulse_general_influence(
+    cmap: CognitiveMap,
+    eps: float = 1e-6,
+    max_steps: int | None = None,
+) -> InfluenceReport:
+    """Impulse-method vertex scores; refuses maps that fail the stability check.
 
     Score of vertex i: inject a unit impulse at i over zero initial values,
     run to convergence, and sum |total change| over all other vertices.  The
     change at the source itself is excluded, mirroring the zero diagonal of
     the accumulated-influence matrix.
-    """
-
-    scores: tuple[float, ...]
-    ranking: tuple[int, ...]
-
-
-def impulse_general_influence(
-    cmap: CognitiveMap,
-    eps: float = 1e-6,
-    max_steps: int | None = None,
-) -> ImpulseReport:
-    """Impulse-method vertex scores; refuses maps that fail the stability check.
 
     Raises :class:`MethodNotApplicableError` carrying the verdict for
     unstable maps (that is the regime where this method has no answer and
@@ -227,7 +217,7 @@ def impulse_general_influence(
         change = np.abs(trace.final_values - trace.values[0])
         change[i] = 0.0
         scores.append(float(change.sum()))
-    return ImpulseReport(tuple(scores), rank_by_score(scores))
+    return InfluenceReport(tuple(scores), rank_by_score(scores))
 
 
 def _verdict_reason(verdict: StabilityVerdict) -> str:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NonFiniteInfluenceError, PathBudgetError
 from .maps import CognitiveMap, max_abs_weight
-from .paths import DEFAULT_MAX_PATHS, PathSet, enumerate_with_budget
+from .paths import DEFAULT_MAX_PATHS, PathSet, _check_budget, enumerate_with_budget
 
 __all__ = [
     "damping",
@@ -42,7 +42,6 @@ __all__ = [
     "InfluenceReport",
     "general_influence",
     "rank_by_score",
-    "two_edge_sign",
 ]
 
 
@@ -169,16 +168,11 @@ def influence_matrix(
     non-finite entry when weights near the float maximum overflow.
     """
     n = cmap.n
+    max_len = _check_budget(n, max_paths, max_len)
     mu = max_abs_weight(cmap)
     Z = np.zeros((n, n))
     if mu == 0.0:
         return Z
-    if max_paths < 1:
-        raise ValueError(f"max_paths must be positive, got {max_paths}")
-    if max_len is None:
-        max_len = n
-    if max_len < 1:
-        raise ValueError(f"max_len must be positive, got {max_len}")
     successors = [
         [(j, w) for j, w in enumerate(row) if w != 0.0] for row in cmap.weights.tolist()
     ]
@@ -256,7 +250,7 @@ def _source_row(successors, source, mu, max_len, max_paths):
 
 @dataclass(frozen=True)
 class InfluenceReport:
-    """Per-vertex total influence scores plus the descending ranking.
+    """Per-vertex influence scores, accumulated or impulse, plus the ranking.
 
     ``scores[i]`` belongs to vertex index i (0-based); ``ranking`` lists
     1-based vertex numbers from most to least influential, ties broken by
@@ -292,15 +286,3 @@ def general_influence(Z: np.ndarray) -> InfluenceReport:
         )
     scores = tuple(float(s) for s in sums)
     return InfluenceReport(scores, rank_by_score(scores))
-
-
-def two_edge_sign(w1: float, w2: float) -> int:
-    """Sign of the partial influence transmitted along a two-edge chain.
-
-    For i -> k -> j the partial influence is sign(w1) * damping(|w1|/mu) * w2,
-    so its sign is the product of the edge signs: two negatives reinforce
-    (suppressing a suppressor promotes), a single negative inverts.
-    """
-    if w1 == 0 or w2 == 0:
-        raise ValueError("two_edge_sign needs nonzero edge weights")
-    return int(_sign(w1) * _sign(w2))

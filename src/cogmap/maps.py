@@ -168,22 +168,22 @@ def _load_csv(text: str, decimal_comma: bool) -> CognitiveMap:
         if not rows:
             raise ValidationError("CSV has a header row but no matrix rows")
     n = len(rows)
-    matrix = np.zeros((n, n))
+    matrix = []  # an n x n array is built only once every row has n cells
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValidationError(
                 f"matrix must be square: row {i + 1} has {len(row)} values, "
                 f"expected {n} (the number of rows)"
             )
-        for j, cell in enumerate(row):
-            matrix[i, j] = _parse_cell(cell, i + 1, j + 1, decimal_comma)
+        matrix.append([_parse_cell(c, i + 1, j + 1, decimal_comma) for j, c in enumerate(row)])
     return CognitiveMap(matrix, labels)
 
 
 def _load_json(text: str) -> CognitiveMap:
     try:
-        doc = json.loads(text)
-    # ValueError also covers integer literals over the interpreter's digit limit
+        # float(s) + 0.0 is float(int(s)) for every integer literal (-0 too),
+        # with no digit limit and inf past the float range
+        doc = json.loads(text, parse_int=lambda s: float(s) + 0.0)
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "weights" not in doc:
@@ -192,7 +192,6 @@ def _load_json(text: str) -> CognitiveMap:
     if not isinstance(rows, list) or not rows:
         raise ValidationError('"weights" must be a non-empty list of rows')
     n = len(rows)
-    matrix = np.zeros((n, n))
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             got = len(row) if isinstance(row, list) else type(row).__name__
@@ -200,23 +199,18 @@ def _load_json(text: str) -> CognitiveMap:
                 f"matrix must be square: row {i + 1} has {got} values, expected {n}"
             )
         for j, cell in enumerate(row):
-            if isinstance(cell, bool) or not isinstance(cell, (int, float)):
+            if not isinstance(cell, float):  # every JSON number parses to a float
                 raise ValidationError(
                     f"non-numeric cell at row {i + 1}, column {j + 1}: {cell!r}"
                 )
-            try:
-                value = float(cell)
-            except OverflowError:  # an integer literal beyond the float range
-                value = math.inf
-            if not math.isfinite(value):
-                raise ValidationError(f"non-finite cell at row {i + 1}, column {j + 1}: {value!r}")
-            matrix[i, j] = value
+            if not math.isfinite(cell):
+                raise ValidationError(f"non-finite cell at row {i + 1}, column {j + 1}: {cell!r}")
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
             raise ValidationError('"labels" must be a list of strings')
         labels = tuple(labels)
-    return CognitiveMap(matrix, labels)
+    return CognitiveMap(rows, labels)
 
 
 def load_map(source: Source, fmt: str = "csv", *, decimal_comma: bool = False) -> CognitiveMap:

@@ -70,6 +70,17 @@ def _check_pair(cmap: CognitiveMap, source: int, target: int) -> None:
         )
 
 
+def _check_budget(n: int, max_paths: int, max_len: int | None) -> int:
+    """Reject non-positive budgets; return ``max_len``, defaulting to ``n``."""
+    if max_paths < 1:
+        raise ValueError(f"max_paths must be positive, got {max_paths}")
+    if max_len is None:
+        return n
+    if max_len < 1:
+        raise ValueError(f"max_len must be positive, got {max_len}")
+    return max_len
+
+
 def enumerate_with_budget(
     cmap: CognitiveMap,
     source: int,
@@ -86,14 +97,8 @@ def enumerate_with_budget(
     result can never be mistaken for a full one.
     """
     _check_pair(cmap, source, target)
-    if max_paths < 1:
-        raise ValueError(f"max_paths must be positive, got {max_paths}")
-    if max_len is None:
-        max_len = cmap.n
-    if max_len < 1:
-        raise ValueError(f"max_len must be positive, got {max_len}")
-
     n = cmap.n
+    max_len = _check_budget(n, max_paths, max_len)
     successors = [[j for j, x in enumerate(row) if x != 0.0] for row in cmap.weights.tolist()]
     found: list[tuple[int, ...]] = []
     path = [source]
@@ -119,9 +124,9 @@ def enumerate_with_budget(
     return PathSet(source, target, tuple(found))
 
 
-def enumerate_simple_paths(cmap: CognitiveMap, source: int, target: int) -> PathSet:
-    """All simple paths source -> target; empty when the target is unreachable."""
-    return enumerate_with_budget(cmap, source, target, max_paths=DEFAULT_MAX_PATHS)
+# all simple paths source -> target under the default budget; empty when the
+# target is unreachable
+enumerate_simple_paths = enumerate_with_budget
 
 
 def count_paths_complete(n: int) -> int:

@@ -33,9 +33,7 @@ PUBLIC_NAMES = {
     "pair_influence",
     "path_influence",
     "rank_by_score",
-    "two_edge_sign",
     "eigenvalues",
-    "ImpulseReport",
     "ImpulseTrace",
     "StabilityVerdict",
     "characteristic_constants",
@@ -55,7 +53,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    assert len(cogmap.__all__) == len(PUBLIC_NAMES) == 48
+    assert len(cogmap.__all__) == len(PUBLIC_NAMES) == 46
     assert set(cogmap.__all__) == PUBLIC_NAMES
 
 

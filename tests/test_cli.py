@@ -14,6 +14,7 @@ import cogmap.impulse
 from cogmap import (
     CognitiveMap,
     EigenConvergenceError,
+    FIXTURE_NAMES,
     fixture_path,
     influence_matrix,
     load_fixture,
@@ -120,21 +121,41 @@ class TestAnalyze:
         assert "budget" in err
 
     @pytest.mark.parametrize(
-        "weights",
+        "weights, message",
         [
-            "[" * 100_000 + "]" * 100_000,
-            "[[0, 1" + "0" * 5000 + "], [1, 0]]",
-            "[[0, 1" + "0" * 400 + "], [1, 0]]",
+            ("[" * 100_000 + "]" * 100_000, "invalid JSON: "),
+            ("[[0, 1" + "0" * 5000 + "], [1, 0]]", "non-finite cell at row 1, column 2: inf\n"),
+            ("[[0, 1" + "0" * 400 + "], [1, 0]]", "non-finite cell at row 1, column 2: inf\n"),
         ],
         ids=["nested-100000-deep", "5001-digit-integer", "401-digit-integer"],
     )
-    def test_hostile_json_is_validation_error(self, tmp_path, weights):
+    def test_hostile_json_is_validation_error(self, tmp_path, weights, message):
         hostile = tmp_path / "hostile.json"
         hostile.write_text('{"weights": ' + weights + "}")
         code, out, err = run_subprocess("analyze", str(hostile))
         assert (code, out) == (2, "")
-        assert err.startswith("validation error: ")
+        assert err.startswith("validation error: " + message)
         assert "Traceback" not in err
+        assert "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("tall.csv", "0\n" * 200_000),
+            ("tall.json", '{"weights": [' + ", ".join(["[0]"] * 200_000) + "]}"),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_tall_map_is_validation_error(self, run, tmp_path, name, text):
+        # an n x n array for n = 200 000 would need 298 GiB; the first short
+        # row must be reported before anything that size is allocated
+        tall = tmp_path / name
+        tall.write_text(text)
+        code, out, err = run("analyze", str(tall))
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "validation error: matrix must be square: row 1 has 1 values, expected 200000"
+        )
 
     def test_threads_do_not_change_output(self, run):
         _, out1, _ = run("analyze", CITY_WASTE, "--threads", "1", "--format", "json")
@@ -347,6 +368,13 @@ class TestStabilityCommand:
         assert len(doc["magnitudes"]) == 5
         assert doc["magnitudes"][0] == pytest.approx(0.6861, abs=1e-3)
 
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_each_magnitude_is_the_verdicts(self, run, name):
+        code, out, _ = run("stability", str(fixture_path(name)), "--format", "json")
+        doc = json.loads(out)
+        assert code == 0
+        assert [e["magnitude"] for e in doc["eigenvalues"]] == doc["magnitudes"]
+
     def test_csv_eigenvalue_rows(self, run):
         code, out, _ = run("stability", FOUR_STABLE, "--format", "csv")
         lines = out.splitlines()
@@ -467,6 +495,42 @@ class TestScaleCheckCommand:
     def test_requires_eta(self, run):
         code, _, _ = run("scale-check", SANITATION)
         assert code == 1
+
+
+HOSTILE_INPUTS = {
+    "crlf.csv": b"0,1\r\n1,0\r\n",
+    "empty.csv": b"",
+    "header-only.csv": b"a,b\n",
+    "nan.csv": b"0,NaN\n1,0\n",
+    "huge.csv": b"0,1e999\n1,0\n",
+    "binary.csv": bytes(range(256)),
+    "empty-row.json": b'{"weights": [[]]}',
+    "boolean.json": b'{"weights": [[0, true], [1, 0]]}',
+    "top-level-list.json": b"[[0, 1], [1, 0]]",
+    "label-mismatch.json": b'{"labels": ["a"], "weights": [[0, 1], [1, 0]]}',
+    "directory": None,
+    "missing.csv": None,
+}
+HOSTILE_COMMANDS = {
+    "analyze": (),
+    "compare": (),
+    "stability": (),
+    "impulse": ("--scores",),
+    "paths": ("--from", "1", "--to", "2"),
+    "scale-check": ("--eta", "3"),
+}
+
+
+@pytest.mark.parametrize("command", HOSTILE_COMMANDS)
+@pytest.mark.parametrize("name", HOSTILE_INPUTS)
+def test_every_input_ends_in_a_documented_exit_code(run, tmp_path, name, command):
+    path = tmp_path / name
+    if name == "directory":
+        path.mkdir()
+    elif HOSTILE_INPUTS[name] is not None:
+        path.write_bytes(HOSTILE_INPUTS[name])
+    code, _, _ = run(command, str(path), *HOSTILE_COMMANDS[command])
+    assert code in range(5)
 
 
 class TestDeterminism:

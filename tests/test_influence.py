@@ -25,7 +25,6 @@ from cogmap import (
     path_influence,
     reachability_closure,
     scale_map,
-    two_edge_sign,
 )
 from conftest import cognitive_maps, random_map, verify_influence_golden, verify_report_golden
 
@@ -131,6 +130,13 @@ class TestInfluenceMatrixGolden:
 
     def test_zero_map(self):
         assert not influence_matrix(CognitiveMap(np.zeros((3, 3)))).any()
+
+    @pytest.mark.parametrize(
+        "budget", [{"max_paths": 0}, {"max_len": 0}], ids=["max_paths", "max_len"]
+    )
+    def test_budgets_are_checked_on_an_edgeless_map(self, budget):
+        with pytest.raises(ValueError, match="must be positive"):
+            influence_matrix(CognitiveMap(np.zeros((3, 3))), **budget)
 
     def test_budget_violation_names_pair(self):
         with pytest.raises(PathBudgetError) as excinfo:
@@ -252,36 +258,6 @@ class TestGeneralInfluence:
         report = general_influence(np.zeros((4, 4)))
         assert report.scores == (0.0, 0.0, 0.0, 0.0)
         assert report.ranking == (1, 2, 3, 4)
-
-
-class TestTwoEdgeSign:
-    @pytest.mark.parametrize(
-        "w1,w2,expected",
-        [
-            (0.5, 0.7, 1),    # two promotions promote
-            (-0.5, -0.7, 1),  # suppressing a suppressor promotes
-            (-0.5, 0.7, -1),  # suppressing a promoter suppresses
-            (0.5, -0.7, -1),  # promoting a suppressor suppresses
-        ],
-    )
-    def test_sign_table(self, w1, w2, expected):
-        assert two_edge_sign(w1, w2) == expected
-
-    def test_matches_actual_two_edge_partial(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            w1, w2 = rng.uniform(-3, 3, size=2)
-            if w1 == 0 or w2 == 0:
-                continue
-            w = np.zeros((3, 3))
-            w[0, 1], w[1, 2] = w1, w2
-            m = CognitiveMap(w)
-            partial = path_influence(m, (0, 1, 2), max_abs_weight(m)).partial
-            assert math.copysign(1, partial) == two_edge_sign(w1, w2)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            two_edge_sign(0.0, 1.0)
 
 
 class TestProperties:
