@@ -60,11 +60,20 @@ class NonFiniteInfluenceError(CogmapError):
 
 
 class ImpulseDivergenceError(CogmapError):
-    """An impulse simulation produced a non-finite value."""
+    """An impulse simulation produced a non-finite value.
 
-    def __init__(self, step: int):
+    ``step`` is the step that produced it.  ``source`` is the 0-based vertex
+    whose unit impulse diverged when impulse scoring raises the error (the
+    message uses the 1-based number), and None when :func:`simulate` does.
+    """
+
+    def __init__(self, step: int, source: int | None = None):
         self.step = step
-        super().__init__(f"impulse simulation diverged: non-finite value at step {step}")
+        self.source = source
+        origin = "" if source is None else f" from vertex {source + 1}"
+        super().__init__(
+            f"impulse simulation{origin} diverged: non-finite value at step {step}"
+        )
 
 
 class MethodNotApplicableError(CogmapError):

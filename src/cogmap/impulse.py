@@ -13,11 +13,20 @@ pairwise distinct and none exceeds 1 in magnitude, every simple impulse
 process is stable; otherwise some unit impulse blows up.  This is exactly
 the method's weakness that the accumulated-influence algorithm avoids, so
 the stability verdict is computed first and scoring refuses unstable maps.
+
+Scoring runs the n unit-impulse processes in lockstep, one row each, through
+the loop that :func:`simulate` runs with one row.  A step is one stacked
+matmul of the weights with n ``(n, 1)`` columns, which numpy computes as n
+gemv calls, the call a single vector makes, so each score has the bits of
+its own simulation.  A gemm over the n x n block would round differently.
+When several processes fail, scoring reports the lowest vertex, as running
+them one after another would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -85,45 +94,75 @@ def simulate(
     n = cmap.n
     if max_steps is None:
         max_steps = default_max_steps(n)
+    p = np.array(p0, dtype=float).reshape(1, -1)  # the caller's p0 is copied once
+    v = np.zeros((1, n)) if v0 is None else np.array(v0, dtype=float).reshape(1, -1)
+    if p.shape != (1, n) or v.shape != (1, n):
+        raise ValueError(f"p0 and v0 must be vectors of length {n}")
+    history = [(v, p)]
+    _, converged_at, diverged = _propagate(cmap.weights, v, p, max_steps, eps, history)
+    if diverged is not None:
+        raise ImpulseDivergenceError(diverged[1])
+    values, impulses = (np.concatenate(blocks) for blocks in zip(*history))
+    steps = int(converged_at[0])
+    return ImpulseTrace(values, impulses, steps > 0, steps or None)
+
+
+def _propagate(weights, V, P, max_steps, eps, history=None):
+    """Advance the impulse processes in the rows of ``V`` and ``P`` in lockstep.
+
+    Row r starts from values ``V[r]`` and impulse ``P[r]`` and runs until
+    max |p| < eps or ``max_steps`` steps.  Each step of all rows is one
+    stacked matmul, ``weights.T @ P[:, :, None]``: numpy computes a stack of
+    ``(n, 1)`` columns with one gemv per entry, the call that a lone
+    ``weights.T @ p`` makes, so each row gets the bits of its own
+    simulation (a gemm over the whole block would not).  Converged rows are
+    written out and dropped.  No history is kept unless ``history`` is a
+    list, which then receives each step's ``(V, P)`` block.
+
+    Returns ``(final, converged_at, diverged)``.  ``final[r]`` holds row r's
+    values at step ``converged_at[r]``, where it converged; the step is 0
+    for a row that did not.  ``diverged`` is ``(row, step)`` for the lowest
+    row whose values became non-finite, or None.  Rows above a diverged row
+    are dropped unfinished, since the lowest failing row is what callers
+    report.
+    """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     if not (eps > 0):
         raise ValueError(f"eps must be positive, got {eps!r}")
-    p = np.array(p0, dtype=float).reshape(-1)  # the caller's p0 is copied once
-    v = (
-        np.zeros(n)
-        if v0 is None
-        else np.asarray(v0, dtype=float).reshape(-1).copy()
-    )
-    if p.shape != (n,) or v.shape != (n,):
-        raise ValueError(f"p0 and v0 must be vectors of length {n}")
-
-    along_edges = cmap.weights.T  # propagate i -> j along w_ij
-    # every step allocates fresh arrays, so the history keeps them uncopied
-    values = [v]
-    impulses = [p]
-    converged = False
-    steps_to_converge = None
+    final = np.empty_like(V)
+    converged_at = np.zeros(len(V), dtype=int)
+    diverged = None
+    rows = np.arange(len(V))
+    along_edges = weights.T  # propagate i -> j along w_ij
     # overflow is an expected outcome on unstable maps; it is reported as a
     # typed error rather than a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, max_steps + 1):
-            # v is finite here, so v_next is non-finite exactly when the
-            # step along the edges is
-            v_next = v + along_edges @ p
-            if not np.isfinite(v_next).all():
-                raise ImpulseDivergenceError(t)
+            V_next = V + (along_edges @ P[:, :, None])[:, :, 0]
             # the impulse is the realized change, so p(t) == v(t) - v(t-1)
             # holds bit for bit even after rounding
-            p = v_next - v
-            v = v_next
-            values.append(v)
-            impulses.append(p)
-            if np.abs(p).max() < eps:
-                converged = True
-                steps_to_converge = t
+            P = V_next - V
+            V = V_next
+            if history is not None:
+                history.append((V, P))
+            peak = np.maximum.reduce(np.abs(P), axis=1)
+            if not np.isfinite(peak).all():
+                # v(t-1) is finite, so a non-finite v(t) makes p(t) non-finite;
+                # a row whose v(t) is finite but whose p(t) overflowed goes on
+                for r in np.flatnonzero(~np.isfinite(peak)):
+                    if not np.isfinite(V[r]).all():
+                        diverged = (int(rows[r]), t)
+                        V, P, rows, peak = V[:r], P[:r], rows[:r], peak[:r]
+                        break
+            done = peak < eps
+            if done.any():
+                final[rows[done]] = V[done]
+                converged_at[rows[done]] = t
+                V, P, rows = V[~done], P[~done], rows[~done]
+            if not rows.size:
                 break
-    return ImpulseTrace(np.array(values), np.array(impulses), converged, steps_to_converge)
+    return final, converged_at, diverged
 
 
 @dataclass(frozen=True)
@@ -165,16 +204,15 @@ def characteristic_constants(cmap: CognitiveMap) -> np.ndarray:
 def stability_check(cmap: CognitiveMap) -> StabilityVerdict:
     """Apply the spectral criterion; see :class:`StabilityVerdict`."""
     eigs = characteristic_constants(cmap)
-    mags = tuple(float(m) for m in np.abs(eigs))
+    # Python complex arithmetic gives the bits of numpy's complex scalars
+    # (both take abs from libm's hypot) at half the cost per pair
+    values = tuple(eigs.tolist())
+    mags = tuple(np.abs(eigs).tolist())
     radius = mags[0] if mags else 0.0
     tol = DISTINCTNESS_TOL * max(1.0, radius)
-    all_distinct = all(
-        abs(eigs[i] - eigs[j]) > tol
-        for i in range(len(eigs))
-        for j in range(i + 1, len(eigs))
-    )
+    all_distinct = all(abs(a - b) > tol for a, b in combinations(values, 2))
     all_within_unit = all(m <= 1.0 + UNIT_CIRCLE_TOL for m in mags)
-    return StabilityVerdict(tuple(complex(e) for e in eigs), mags, all_distinct, all_within_unit)
+    return StabilityVerdict(values, mags, all_distinct, all_within_unit)
 
 
 def impulse_general_influence(
@@ -202,21 +240,25 @@ def impulse_general_influence(
             verdict=verdict,
         )
     n = cmap.n
-    scores = []
-    for i in range(n):
-        p0 = np.zeros(n)
-        p0[i] = 1.0
-        trace = simulate(cmap, p0, max_steps=max_steps, eps=eps)
-        if not trace.converged:
-            raise MethodNotApplicableError(
-                f"impulse simulation from vertex {i + 1} did not converge within "
-                f"{trace.steps} steps despite a stable verdict (spectral radius "
-                f"{verdict.spectral_radius:.6g} is too close to 1)",
-                verdict=verdict,
-            )
-        change = np.abs(trace.final_values - trace.values[0])
-        change[i] = 0.0
-        scores.append(float(change.sum()))
+    if max_steps is None:
+        max_steps = default_max_steps(n)
+    final, converged_at, diverged = _propagate(
+        cmap.weights, np.zeros((n, n)), np.eye(n), max_steps, eps
+    )
+    unfinished = np.flatnonzero(converged_at == 0)
+    if unfinished.size:
+        i = int(unfinished[0])
+        if diverged is not None and diverged[0] == i:
+            raise ImpulseDivergenceError(diverged[1], source=i)
+        raise MethodNotApplicableError(
+            f"impulse simulation from vertex {i + 1} did not converge within "
+            f"{max_steps} steps despite a stable verdict (spectral radius "
+            f"{verdict.spectral_radius:.6g} is too close to 1)",
+            verdict=verdict,
+        )
+    change = np.abs(final)  # every process starts from zero values
+    np.fill_diagonal(change, 0.0)
+    scores = change.sum(axis=1).tolist()
     return InfluenceReport(tuple(scores), rank_by_score(scores))
 
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cogmap import (
     CognitiveMap,
@@ -15,7 +17,7 @@ from cogmap import (
     simulate,
     stability_check,
 )
-from conftest import ALL_FIXTURES, STABLE_FIXTURES, UNSTABLE_FIXTURES, random_map
+from conftest import ALL_FIXTURES, STABLE_FIXTURES, UNSTABLE_FIXTURES, cognitive_maps, random_map
 
 from oracles import neumann_cumulative_change
 
@@ -58,6 +60,7 @@ class TestSimulate:
         with pytest.raises(ImpulseDivergenceError) as excinfo:
             simulate(m, unit_impulse(4, 1), max_steps=10_000)
         assert excinfo.value.step == 432
+        assert excinfo.value.source is None
 
     def test_trace_does_not_alias_the_callers_impulse(self, fixture_maps):
         m = fixture_maps["four_stable"]
@@ -223,6 +226,116 @@ class TestImpulseScores:
         assert excinfo.value.verdict is not None
         assert not excinfo.value.verdict.stable
         assert "accumulated" in str(excinfo.value)
+
+
+def heavy_chain(*weights: float) -> CognitiveMap:
+    """The path 1 -> 2 -> ... with these edge weights (0 for no edge).
+
+    It is nilpotent, so the verdict is stable whatever the weights, and
+    weights of 1e200 overflow at the second edge an impulse crosses.
+    """
+    n = len(weights) + 1
+    w = np.zeros((n, n))
+    for i, x in enumerate(weights):
+        w[i, i + 1] = x
+    return CognitiveMap(w)
+
+
+def per_source_scores(m: CognitiveMap) -> list[float]:
+    """The scorer's rule run one simulation per source vertex."""
+    scores = []
+    for i in range(m.n):
+        change = np.abs(simulate(m, unit_impulse(m.n, i)).final_values)
+        change[i] = 0.0
+        scores.append(float(change.sum()))
+    return scores
+
+
+class TestLockstepScoring:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 31, 60, 90])
+    def test_stacked_matmul_is_one_gemv_per_row(self, n):
+        # the scorer advances all rows with one stacked matmul and relies on
+        # each row getting the bits of a lone matrix-vector product
+        rng = np.random.default_rng(n)
+        w = rng.uniform(-1, 1, (n, n))
+        P = rng.standard_normal((n + 3, n))
+        for A in (w, w.T):
+            stacked = (A @ P[:, :, None])[:, :, 0]
+            for j in range(len(P)):
+                assert stacked[j].tobytes() == (A @ P[j]).tobytes()
+
+    @given(
+        m=cognitive_maps(min_n=1, max_n=12),
+        shape=st.sampled_from(["scaled", "singular", "nilpotent"]),
+        radius=st.floats(0.05, 0.9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scores_equal_per_source_simulation_bit_for_bit(self, m, shape, radius):
+        w = m.weights.copy()
+        if shape == "singular":
+            w[:, 0] = 0.0
+        elif shape == "nilpotent":
+            w = np.triu(w, 1)
+        rho = max(np.abs(np.linalg.eigvals(w)), default=0.0)
+        if shape != "nilpotent" and rho > 0:
+            w *= radius / rho
+        m = CognitiveMap(w)
+        assume(stability_check(m).stable)
+        got = impulse_general_influence(m).scores
+        assert np.array(got).tobytes() == np.array(per_source_scores(m)).tobytes()
+
+    @pytest.mark.parametrize(
+        "weights, step, source",
+        [
+            # vertex 1 converges at step 1, vertex 2 overflows at step 2
+            ((0.0, 1e200, 1e200), 2, 1),
+            # vertices 1 and 2 both overflow at step 2
+            ((1e200, 1e200, 1e200), 2, 0),
+            # vertex 2 overflows at step 2, vertex 1 only at step 3
+            ((1.0, 1e200, 1e200), 3, 0),
+        ],
+    )
+    def test_lowest_diverging_source_is_reported(self, weights, step, source):
+        m = heavy_chain(*weights)
+        with pytest.raises(ImpulseDivergenceError) as excinfo:
+            simulate(m, unit_impulse(m.n, source))
+        assert (excinfo.value.step, excinfo.value.source) == (step, None)
+        with pytest.raises(ImpulseDivergenceError) as excinfo:
+            impulse_general_influence(m)
+        assert (excinfo.value.step, excinfo.value.source) == (step, source)
+        assert str(excinfo.value) == (
+            f"impulse simulation from vertex {source + 1} diverged: "
+            f"non-finite value at step {step}"
+        )
+
+    def test_a_lower_source_that_does_not_converge_takes_precedence(self):
+        # vertices 1 and 2 form a slow 2-cycle (eigenvalues +-0.9); vertex 3
+        # heads a heavy chain that overflows at step 2
+        w = np.zeros((5, 5))
+        w[0, 1] = w[1, 0] = 0.9
+        w[2, 3] = w[3, 4] = 1e200
+        m = CognitiveMap(w)
+        with pytest.raises(MethodNotApplicableError, match="from vertex 1 did not converge"):
+            impulse_general_influence(m, max_steps=50)
+        with pytest.raises(ImpulseDivergenceError) as excinfo:
+            impulse_general_influence(m)
+        assert (excinfo.value.step, excinfo.value.source) == (2, 2)
+
+    def test_budget_refusal_names_the_first_vertex(self, fixture_maps):
+        with pytest.raises(MethodNotApplicableError) as excinfo:
+            impulse_general_influence(fixture_maps["four_stable"], max_steps=3)
+        assert str(excinfo.value) == (
+            "impulse simulation from vertex 1 did not converge within 3 steps despite "
+            "a stable verdict (spectral radius 0.8 is too close to 1)"
+        )
+        assert excinfo.value.verdict.stable
+
+    def test_argument_validation(self, fixture_maps):
+        m = fixture_maps["four_stable"]
+        with pytest.raises(ValueError):
+            impulse_general_influence(m, max_steps=0)
+        with pytest.raises(ValueError):
+            impulse_general_influence(m, eps=0.0)
 
 
 class TestAgainstNeumannOracle:
