@@ -34,7 +34,7 @@ from .impulse import impulse_general_influence, simulate, stability_check
 from .influence import general_influence, influence_matrix
 from .kosko import total_influence
 from .maps import CognitiveMap, load_map, scale_map
-from .paths import enumerate_with_budget
+from .paths import DEFAULT_MAX_PATHS, enumerate_with_budget
 
 __all__ = ["cli", "main"]
 
@@ -45,10 +45,8 @@ __all__ = ["cli", "main"]
 
 
 def _fmt3(value: float) -> str:
-    value = float(value)
-    if value == 0.0:
-        value = 0.0  # normalize -0.0
-    return f"{value:.3f}"
+    value = float(value) + 0.0  # normalize -0.0
+    return f"{value:.3e}" if abs(value) >= 1e12 else f"{value:.3f}"
 
 
 def _vertex_name(i: int, labels) -> str:
@@ -58,7 +56,7 @@ def _vertex_name(i: int, labels) -> str:
 
 def _matrix_lines(Z: np.ndarray, title: str) -> list[str]:
     n = Z.shape[0]
-    width = max(8, *(len(_fmt3(v)) + 2 for v in Z.flat)) if n else 8
+    width = max(8, *(len(_fmt3(v)) + 2 for v in Z.flat))
     lines = [title, "      " + "".join(f"{j + 1:>{width}}" for j in range(n))]
     for i in range(n):
         lines.append(f"{i + 1:>5} " + "".join(f"{_fmt3(v):>{width}}" for v in Z[i]))
@@ -80,15 +78,6 @@ def _ranking_lines(scores, ranking, labels, score_header: str) -> list[str]:
     return lines
 
 
-def _csv_matrix(Z: np.ndarray, labels) -> str:
-    out = []
-    if labels:
-        out.append(",".join(labels))
-    for row in Z:
-        out.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(out) + "\n"
-
-
 def _table_analyze(p: dict) -> str:
     Z = np.array(p["influence"])
     lines = _legend_lines(p["labels"])
@@ -99,7 +88,9 @@ def _table_analyze(p: dict) -> str:
 
 
 def _csv_analyze(p: dict) -> str:
-    return _csv_matrix(np.array(p["influence"]), p["labels"])
+    out = [",".join(p["labels"])] if p["labels"] else []
+    out += [",".join(repr(v) for v in row) for row in p["influence"]]
+    return "\n".join(out) + "\n"
 
 
 def _table_stability(p: dict) -> str:
@@ -332,24 +323,27 @@ POSITIVE_INT = click.IntRange(min=1)
 POSITIVE_FLOAT = _PositiveFloat()
 
 
-format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["table", "json", "csv"]),
-    default="table",
-    show_default=True,
-    help="Output format.",
-)
-decimal_comma_option = click.option(
-    "--decimal-comma",
-    is_flag=True,
-    help="Parse CSV input with decimal commas and semicolon separators.",
+map_options = (
+    click.argument("map_file", type=click.Path()),
+    click.option(
+        "--format",
+        "fmt",
+        type=click.Choice(["table", "json", "csv"]),
+        default="table",
+        show_default=True,
+        help="Output format.",
+    ),
+    click.option(
+        "--decimal-comma",
+        is_flag=True,
+        help="Parse CSV input with decimal commas and semicolon separators.",
+    ),
 )
 budget_options = (
     click.option(
         "--max-paths",
         type=POSITIVE_INT,
-        default=10**6,
+        default=DEFAULT_MAX_PATHS,
         show_default=True,
         help="Abort if a vertex pair has more simple paths than this.",
     ),
@@ -371,8 +365,7 @@ threads_option = click.option(
     type=POSITIVE_INT,
     default=1,
     show_default=True,
-    envvar="COGMAP_THREADS",
-    help="Accepted for compatibility; has no effect. Pairs are computed "
+    help="Accepted for compatibility; has no effect. Rows are computed "
     "sequentially, since a thread pool was measured slower under the GIL.",
 )
 
@@ -393,9 +386,7 @@ def cli():
 
 
 @cli.command()
-@click.argument("map_file", type=click.Path())
-@format_option
-@decimal_comma_option
+@_add_options(map_options)
 @_add_options(budget_options)
 @threads_option
 def analyze(map_file, fmt, decimal_comma, max_paths, max_len, threads):
@@ -415,9 +406,7 @@ def analyze(map_file, fmt, decimal_comma, max_paths, max_len, threads):
 
 
 @cli.command()
-@click.argument("map_file", type=click.Path())
-@format_option
-@decimal_comma_option
+@_add_options(map_options)
 def stability(map_file, fmt, decimal_comma):
     """Spectral stability verdict and eigenvalue magnitudes."""
     cmap = _load_cli_map(map_file, decimal_comma)
@@ -438,11 +427,9 @@ def stability(map_file, fmt, decimal_comma):
 
 
 @cli.command()
-@click.argument("map_file", type=click.Path())
+@_add_options(map_options)
 @click.option("--from", "source", type=int, required=True, help="Source vertex (1-based).")
 @click.option("--to", "target", type=int, required=True, help="Target vertex (1-based).")
-@format_option
-@decimal_comma_option
 @_add_options(budget_options)
 def paths(map_file, source, target, fmt, decimal_comma, max_paths, max_len):
     """List all simple paths between two vertices."""
@@ -466,12 +453,10 @@ def paths(map_file, source, target, fmt, decimal_comma, max_paths, max_len):
 
 
 @cli.command()
-@click.argument("map_file", type=click.Path())
+@_add_options(map_options)
 @click.option("--from", "source", type=int, required=True, help="Source vertex (1-based).")
 @click.option("--to", "target", type=int, required=True, help="Target vertex (1-based).")
 @click.option("--abs-weights", is_flag=True, help="Take weakest links by magnitude.")
-@format_option
-@decimal_comma_option
 @_add_options(budget_options)
 def kosko(map_file, source, target, abs_weights, fmt, decimal_comma, max_paths, max_len):
     """Weakest-link influence per path and the strongest-path total."""
@@ -495,7 +480,7 @@ def kosko(map_file, source, target, abs_weights, fmt, decimal_comma, max_paths, 
 
 
 @cli.command()
-@click.argument("map_file", type=click.Path())
+@_add_options(map_options)
 @click.option(
     "--from",
     "source",
@@ -506,8 +491,6 @@ def kosko(map_file, source, target, abs_weights, fmt, decimal_comma, max_paths, 
 )
 @_add_options(simulation_options)
 @click.option("--scores", is_flag=True, help="Rank all vertices instead of tracing one impulse.")
-@format_option
-@decimal_comma_option
 def impulse(map_file, source, eps, max_steps, scores, fmt, decimal_comma):
     """Simulate an impulse process (or rank vertices with --scores).
 
@@ -545,10 +528,8 @@ def impulse(map_file, source, eps, max_steps, scores, fmt, decimal_comma):
 
 
 @cli.command()
-@click.argument("map_file", type=click.Path())
+@_add_options(map_options)
 @_add_options(simulation_options)
-@format_option
-@decimal_comma_option
 @_add_options(budget_options)
 @threads_option
 def compare(map_file, eps, max_steps, fmt, decimal_comma, max_paths, max_len, threads):
@@ -583,7 +564,7 @@ def compare(map_file, eps, max_steps, fmt, decimal_comma, max_paths, max_len, th
 
 
 @cli.command(name="scale-check")
-@click.argument("map_file", type=click.Path())
+@_add_options(map_options)
 @click.option(
     "--eta",
     "etas",
@@ -592,8 +573,6 @@ def compare(map_file, eps, max_steps, fmt, decimal_comma, max_paths, max_len, th
     required=True,
     help="Scale factor to check (repeatable).",
 )
-@format_option
-@decimal_comma_option
 @_add_options(budget_options)
 @threads_option
 def scale_check(map_file, etas, fmt, decimal_comma, max_paths, max_len, threads):
@@ -603,7 +582,6 @@ def scale_check(map_file, etas, fmt, decimal_comma, max_paths, max_len, threads)
         influence_matrix(cmap, max_paths=max_paths, max_len=max_len, threads=threads)
     )
     checks = []
-    all_identical = True
     for eta in etas:
         scaled = general_influence(
             influence_matrix(
@@ -615,15 +593,13 @@ def scale_check(map_file, etas, fmt, decimal_comma, max_paths, max_len, threads)
             abs(got - want) / abs(want) if want != 0 else abs(got - want)
             for got, want in zip(scaled.scores, expected)
         ]
-        identical = scaled.ranking == base.ranking
-        all_identical = all_identical and identical
         checks.append(
             {
                 "eta": eta,
                 "scores": list(scaled.scores),
                 "expected": expected,
-                "max_rel_deviation": max(deviations) if deviations else 0.0,
-                "ranking_identical": identical,
+                "max_rel_deviation": max(deviations),
+                "ranking_identical": scaled.ranking == base.ranking,
             }
         )
     payload = {
@@ -634,7 +610,7 @@ def scale_check(map_file, etas, fmt, decimal_comma, max_paths, max_len, threads)
         "checks": checks,
     }
     _echo(fmt, payload, _table_scale_check, _csv_scale_check)
-    if not all_identical:
+    if not all(chk["ranking_identical"] for chk in checks):
         raise CogmapError("ranking changed under scaling; this indicates a numerical problem")
 
 

@@ -157,8 +157,9 @@ def influence_matrix(
     pair definition.  Unreachable pairs and the diagonal stay 0, and an
     edgeless map yields the zero matrix.
 
-    ``threads`` is accepted and has no effect: the walk is pure Python, so
-    under the GIL a thread pool was measured slower than the sequential loop.
+    ``threads`` is accepted and has no effect: rows are computed
+    sequentially, since the walk is pure Python and under the GIL a thread
+    pool was measured slower.
 
     ``max_paths`` bounds the paths counted per pair.  A row stops at its
     first overflowing target; the smaller targets of that row are re-checked
@@ -171,8 +172,6 @@ def influence_matrix(
     max_len = _check_budget(n, max_paths, max_len)
     mu = max_abs_weight(cmap)
     Z = np.zeros((n, n))
-    if mu == 0.0:
-        return Z
     successors = [
         [(j, w) for j, w in enumerate(row) if w != 0.0] for row in cmap.weights.tolist()
     ]

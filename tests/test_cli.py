@@ -9,13 +9,16 @@ import sys
 import numpy as np
 import pytest
 
+import cogmap.cli
 import cogmap.eigen
 import cogmap.impulse
 from cogmap import (
     CognitiveMap,
     EigenConvergenceError,
     FIXTURE_NAMES,
+    InfluenceReport,
     fixture_path,
+    general_influence,
     influence_matrix,
     load_fixture,
     load_map,
@@ -161,6 +164,18 @@ class TestAnalyze:
         _, out1, _ = run("analyze", CITY_WASTE, "--threads", "1", "--format", "json")
         _, out4, _ = run("analyze", CITY_WASTE, "--threads", "4", "--format", "json")
         assert out1 == out4
+
+    def test_huge_values_print_in_scientific_notation(self, run, tmp_path):
+        chain = tmp_path / "chain.csv"
+        chain.write_text("0,0,0,0\n0,0,1e200,0\n0,0,0,1e200\n0,0,0,0\n")
+        code, out, err = run("analyze", str(chain))
+        assert (code, err) == (0, "")
+        assert max(len(line) for line in out.splitlines()) <= 120
+        assert "    1  2                            1.865e+200\n" in out
+        # JSON keeps full precision; its bytes are pinned like PINNED_OUTPUT
+        code, out, _ = run("analyze", str(chain), "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "314c1ed382da7113"
 
     @pytest.mark.parametrize("ext", ["csv", "json"])
     def test_bom_file_output_is_byte_identical(self, run, tmp_path, ext):
@@ -496,6 +511,24 @@ class TestScaleCheckCommand:
         code, _, _ = run("scale-check", SANITATION)
         assert code == 1
 
+    def test_changed_ranking_is_exit_3(self, run, monkeypatch):
+        calls = []
+
+        def reorder_second_call(Z):
+            report = general_influence(Z)
+            calls.append(report)
+            if len(calls) == 2:
+                return InfluenceReport(report.scores, report.ranking[::-1])
+            return report
+
+        monkeypatch.setattr(cogmap.cli, "general_influence", reorder_second_call)
+        code, out, err = run("scale-check", FOUR_STABLE, "--eta", "2", "--eta", "3")
+        assert code == 3
+        assert "eta 2: max relative deviation" in out
+        assert "; ranking DIFFERS\n" in out
+        assert "eta 3: max relative deviation" in out
+        assert err == "error: ranking changed under scaling; this indicates a numerical problem\n"
+
 
 HOSTILE_INPUTS = {
     "crlf.csv": b"0,1\r\n1,0\r\n",
@@ -541,10 +574,11 @@ class TestDeterminism:
         assert first[0] == 0
 
     def test_threads_env_var_byte_identical(self):
+        # COGMAP_THREADS is not read, so even an invalid value changes nothing
         base = run_subprocess("analyze", SANITATION)
-        threaded = run_subprocess("analyze", SANITATION, env_extra={"COGMAP_THREADS": "3"})
-        assert base[0] == threaded[0] == 0
-        assert base[1] == threaded[1]
+        assert base[0] == 0
+        for value in ("3", "0", "abc"):
+            assert run_subprocess("analyze", SANITATION, env_extra={"COGMAP_THREADS": value}) == base
 
     def test_exit_code_for_scores_on_unstable_map(self):
         code, _, err = run_subprocess("impulse", FOUR_UNSTABLE, "--scores")

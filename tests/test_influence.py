@@ -129,7 +129,11 @@ class TestInfluenceMatrixGolden:
             print(note)
 
     def test_zero_map(self):
-        assert not influence_matrix(CognitiveMap(np.zeros((3, 3)))).any()
+        # bytes, not .any(), so a -0.0 entry fails too
+        for n in (1, 2, 3, 6):
+            for max_len in (None, 1):
+                Z = influence_matrix(CognitiveMap(np.zeros((n, n))), max_len=max_len)
+                assert Z.tobytes() == np.zeros((n, n)).tobytes()
 
     @pytest.mark.parametrize(
         "budget", [{"max_paths": 0}, {"max_len": 0}], ids=["max_paths", "max_len"]
