@@ -54,12 +54,12 @@ def _vertex_name(i: int, labels) -> str:
     return f"{i + 1} ({labels[i]})" if labels else str(i + 1)
 
 
-def _matrix_lines(Z: np.ndarray, title: str) -> list[str]:
-    n = Z.shape[0]
-    width = max(8, *(len(_fmt3(v)) + 2 for v in Z.flat))
-    lines = [title, "      " + "".join(f"{j + 1:>{width}}" for j in range(n))]
-    for i in range(n):
-        lines.append(f"{i + 1:>5} " + "".join(f"{_fmt3(v):>{width}}" for v in Z[i]))
+def _matrix_lines(rows, title: str) -> list[str]:
+    cells = [[_fmt3(v) for v in row] for row in rows]
+    width = max(8, *(len(c) + 2 for row in cells for c in row))
+    lines = [title, "      " + "".join(f"{j + 1:>{width}}" for j in range(len(cells)))]
+    for i, row in enumerate(cells):
+        lines.append(f"{i + 1:>5} " + "".join(f"{c:>{width}}" for c in row))
     return lines
 
 
@@ -79,9 +79,8 @@ def _ranking_lines(scores, ranking, labels, score_header: str) -> list[str]:
 
 
 def _table_analyze(p: dict) -> str:
-    Z = np.array(p["influence"])
     lines = _legend_lines(p["labels"])
-    lines += _matrix_lines(Z, f"accumulated influence matrix ({p['n']} vertices):")
+    lines += _matrix_lines(p["influence"], f"accumulated influence matrix ({p['n']} vertices):")
     lines.append("")
     lines += _ranking_lines(p["scores"], p["ranking"], p["labels"], "influence")
     return "\n".join(lines) + "\n"
@@ -174,9 +173,9 @@ def _csv_impulse(p: dict) -> str:
     for t, (v_row, p_row) in enumerate(zip(p["trace_values"], p["trace_impulses"])):
         lines.append(
             f"{t},"
-            + ",".join(repr(float(x)) for x in v_row)
+            + ",".join(repr(x) for x in v_row)
             + ","
-            + ",".join(repr(float(x)) for x in p_row)
+            + ",".join(repr(x) for x in p_row)
         )
     return "\n".join(lines) + "\n"
 
@@ -354,6 +353,10 @@ budget_options = (
         help="Bound path length in edges (default: number of vertices).",
     ),
 )
+pair_options = (
+    click.option("--from", "source", type=int, required=True, help="Source vertex (1-based)."),
+    click.option("--to", "target", type=int, required=True, help="Target vertex (1-based)."),
+)
 simulation_options = (
     click.option(
         "--eps", type=POSITIVE_FLOAT, default=1e-6, show_default=True, help="Convergence cutoff."
@@ -397,10 +400,10 @@ def analyze(map_file, fmt, decimal_comma, max_paths, max_len, threads):
     payload = {
         "method": "accumulated",
         "n": cmap.n,
-        "labels": list(cmap.labels) if cmap.labels else None,
-        "influence": [[float(v) for v in row] for row in Z],
-        "scores": list(report.scores),
-        "ranking": list(report.ranking),
+        "labels": cmap.labels,
+        "influence": Z.tolist(),
+        "scores": report.scores,
+        "ranking": report.ranking,
     }
     _echo(fmt, payload, _table_analyze, _csv_analyze)
 
@@ -417,7 +420,7 @@ def stability(map_file, fmt, decimal_comma):
         "all_distinct": verdict.all_distinct,
         "all_within_unit": verdict.all_within_unit,
         "spectral_radius": verdict.spectral_radius,
-        "magnitudes": list(verdict.magnitudes),
+        "magnitudes": verdict.magnitudes,
         "eigenvalues": [
             {"re": e.real, "im": e.imag, "magnitude": m}
             for e, m in zip(verdict.eigenvalues, verdict.magnitudes)
@@ -428,8 +431,7 @@ def stability(map_file, fmt, decimal_comma):
 
 @cli.command()
 @_add_options(map_options)
-@click.option("--from", "source", type=int, required=True, help="Source vertex (1-based).")
-@click.option("--to", "target", type=int, required=True, help="Target vertex (1-based).")
+@_add_options(pair_options)
 @_add_options(budget_options)
 def paths(map_file, source, target, fmt, decimal_comma, max_paths, max_len):
     """List all simple paths between two vertices."""
@@ -444,7 +446,7 @@ def paths(map_file, source, target, fmt, decimal_comma, max_paths, max_len):
         "paths": [
             {
                 "vertices": [v + 1 for v in path],
-                "weights": list(pathset.edge_weights(cmap, path)),
+                "weights": pathset.edge_weights(cmap, path),
             }
             for path in pathset
         ],
@@ -454,8 +456,7 @@ def paths(map_file, source, target, fmt, decimal_comma, max_paths, max_len):
 
 @cli.command()
 @_add_options(map_options)
-@click.option("--from", "source", type=int, required=True, help="Source vertex (1-based).")
-@click.option("--to", "target", type=int, required=True, help="Target vertex (1-based).")
+@_add_options(pair_options)
 @click.option("--abs-weights", is_flag=True, help="Take weakest links by magnitude.")
 @_add_options(budget_options)
 def kosko(map_file, source, target, abs_weights, fmt, decimal_comma, max_paths, max_len):
@@ -502,9 +503,9 @@ def impulse(map_file, source, eps, max_steps, scores, fmt, decimal_comma):
         report = impulse_general_influence(cmap, eps=eps, max_steps=max_steps)
         payload = {
             "method": "impulse-scores",
-            "labels": list(cmap.labels) if cmap.labels else None,
-            "scores": list(report.scores),
-            "ranking": list(report.ranking),
+            "labels": cmap.labels,
+            "scores": report.scores,
+            "ranking": report.ranking,
         }
         _echo(fmt, payload, _table_impulse_scores, _csv_impulse_scores)
         return
@@ -519,10 +520,10 @@ def impulse(map_file, source, eps, max_steps, scores, fmt, decimal_comma):
         "converged": trace.converged,
         "steps": trace.steps,
         "steps_to_converge": trace.steps_to_converge,
-        "final_values": [float(v) for v in trace.final_values],
+        "final_values": trace.final_values.tolist(),
         "final_max_impulse": float(np.max(np.abs(trace.impulses[-1]))),
-        "trace_values": [[float(x) for x in row] for row in trace.values],
-        "trace_impulses": [[float(x) for x in row] for row in trace.impulses],
+        "trace_values": trace.values.tolist(),
+        "trace_impulses": trace.impulses.tolist(),
     }
     _echo(fmt, payload, _table_impulse, _csv_impulse)
 
@@ -550,13 +551,13 @@ def compare(map_file, eps, max_steps, fmt, decimal_comma, max_paths, max_len, th
         stable, impulse_part, agree = False, None, None
     else:
         stable = True
-        impulse_part = {"scores": list(report.scores), "ranking": list(report.ranking)}
-        agree = list(report.ranking) == list(acc.ranking)
+        impulse_part = {"scores": report.scores, "ranking": report.ranking}
+        agree = report.ranking == acc.ranking
     payload = {
         "method": "compare",
-        "labels": list(cmap.labels) if cmap.labels else None,
+        "labels": cmap.labels,
         "stable": stable,
-        "accumulated": {"scores": list(acc.scores), "ranking": list(acc.ranking)},
+        "accumulated": {"scores": acc.scores, "ranking": acc.ranking},
         "impulse": impulse_part,
         "rankings_agree": agree,
     }
@@ -596,7 +597,7 @@ def scale_check(map_file, etas, fmt, decimal_comma, max_paths, max_len, threads)
         checks.append(
             {
                 "eta": eta,
-                "scores": list(scaled.scores),
+                "scores": scaled.scores,
                 "expected": expected,
                 "max_rel_deviation": max(deviations),
                 "ranking_identical": scaled.ranking == base.ranking,
@@ -604,9 +605,9 @@ def scale_check(map_file, etas, fmt, decimal_comma, max_paths, max_len, threads)
         )
     payload = {
         "method": "scale-check",
-        "labels": list(cmap.labels) if cmap.labels else None,
-        "base_scores": list(base.scores),
-        "base_ranking": list(base.ranking),
+        "labels": cmap.labels,
+        "base_scores": base.scores,
+        "base_ranking": base.ranking,
         "checks": checks,
     }
     _echo(fmt, payload, _table_scale_check, _csv_scale_check)

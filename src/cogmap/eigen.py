@@ -28,8 +28,6 @@ def eigenvalues(A: np.ndarray) -> np.ndarray:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"need a square matrix, got shape {A.shape}")
     n = A.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=complex)
     try:
         # numpy returns a real array when every eigenvalue is real
         out = np.linalg.eigvals(A).astype(complex)

@@ -26,18 +26,18 @@ class PathBudgetError(CogmapError):
 
     Carries the pair being enumerated (0-based ``source`` and ``target``;
     the message uses 1-based vertex numbers) and how many paths were found
-    before the search was aborted, so callers never mistake an aborted
-    enumeration for a complete one.
+    before the search was aborted, always ``max_paths + 1``, so callers
+    never mistake an aborted enumeration for a complete one.
     """
 
-    def __init__(self, source: int, target: int, found: int, max_paths: int):
+    def __init__(self, source: int, target: int, max_paths: int):
         self.source = source
         self.target = target
-        self.found = found
+        self.found = max_paths + 1
         self.max_paths = max_paths
         super().__init__(
             f"path enumeration from vertex {source + 1} to vertex {target + 1} "
-            f"exceeded the budget of {max_paths} paths ({found} found before aborting)"
+            f"exceeded the budget of {max_paths} paths ({self.found} found before aborting)"
         )
 
 

@@ -49,6 +49,5 @@ def load_fixture(name: str, fmt: str = "csv") -> CognitiveMap:
 
 def golden(name: str) -> dict:
     """Recorded expected results for a bundled map."""
-    if name not in FIXTURE_NAMES:
-        raise KeyError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
-    return json.loads((_DIR / "golden" / f"{name}.json").read_text(encoding="utf-8"))
+    path = fixture_path(name).parent / "golden" / f"{name}.json"
+    return json.loads(path.read_text(encoding="utf-8"))

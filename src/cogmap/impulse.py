@@ -66,8 +66,11 @@ class ImpulseTrace:
 
     values: np.ndarray
     impulses: np.ndarray
-    converged: bool
     steps_to_converge: int | None
+
+    @property
+    def converged(self) -> bool:
+        return self.steps_to_converge is not None
 
     @property
     def steps(self) -> int:
@@ -103,8 +106,7 @@ def simulate(
     if diverged is not None:
         raise ImpulseDivergenceError(diverged[1])
     values, impulses = (np.concatenate(blocks) for blocks in zip(*history))
-    steps = int(converged_at[0])
-    return ImpulseTrace(values, impulses, steps > 0, steps or None)
+    return ImpulseTrace(values, impulses, int(converged_at[0]) or None)
 
 
 def _propagate(weights, V, P, max_steps, eps, history=None):

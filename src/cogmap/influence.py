@@ -185,7 +185,7 @@ def influence_matrix(
                     enumerate_with_budget(
                         cmap, source, target, max_paths=max_paths, max_len=max_len
                     )
-            raise PathBudgetError(source, overflow, max_paths + 1, max_paths)
+            raise PathBudgetError(source, overflow, max_paths)
         Z[source] = row
     bad = np.argwhere(~np.isfinite(Z))
     if bad.size:

@@ -130,30 +130,24 @@ def _read_text(source: Source) -> str:
         ) from None
 
 
-def _parse_cell(cell: str, row: int, col: int, decimal_comma: bool) -> float:
+def _number(cell: str, decimal_comma: bool) -> float | None:
+    """The cell's value (which may be inf or nan), or None if it is not a number."""
     text = cell.strip()
     if decimal_comma:
         text = text.replace(",", ".")
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
-        raise ValidationError(
-            f"non-numeric cell at row {row}, column {col}: {cell.strip()!r}"
-        ) from None
+        return None
+
+
+def _parse_cell(cell: str, row: int, col: int, decimal_comma: bool) -> float:
+    value = _number(cell, decimal_comma)
+    if value is None:
+        raise ValidationError(f"non-numeric cell at row {row}, column {col}: {cell.strip()!r}")
     if not math.isfinite(value):
         raise ValidationError(f"non-finite cell at row {row}, column {col}: {cell.strip()!r}")
     return value
-
-
-def _looks_numeric(cell: str, decimal_comma: bool) -> bool:
-    text = cell.strip()
-    if decimal_comma:
-        text = text.replace(",", ".")
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
 
 
 def _load_csv(text: str, decimal_comma: bool) -> CognitiveMap:
@@ -162,7 +156,7 @@ def _load_csv(text: str, decimal_comma: bool) -> CognitiveMap:
     if not rows:
         raise ValidationError("empty CSV: no rows")
     labels = None
-    if not all(_looks_numeric(c, decimal_comma) for c in rows[0]):
+    if any(_number(c, decimal_comma) is None for c in rows[0]):
         labels = tuple(c.strip() for c in rows[0])
         rows = rows[1:]
         if not rows:

@@ -109,7 +109,7 @@ def enumerate_with_budget(
         for nxt in stack[-1]:
             if nxt == target:
                 if len(found) >= max_paths:
-                    raise PathBudgetError(source, target, len(found) + 1, max_paths)
+                    raise PathBudgetError(source, target, max_paths)
                 found.append(tuple(path) + (target,))
             # a path of k vertices has k-1 edges; len(path) <= max_len holds
             # throughout, so closing with the target never exceeds the bound
