@@ -15,7 +15,9 @@ value is a usage error, whatever the map.
 Exit codes: 0 success, 1 usage, 2 input validation, 3 numerical failure
 (including an influence or score that overflows, with nothing on stdout) or
 exceeded path budget, 4 method not applicable (impulse scoring on an
-unstable map).
+unstable map).  ``compare`` always prints the accumulated ranking: an impulse
+column it cannot fill makes it exit 0, except on a stable map whose impulse
+processes run out of steps (exit 4).
 """
 
 from __future__ import annotations
@@ -29,7 +31,12 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import CogmapError, MethodNotApplicableError, ValidationError
+from .errors import (
+    CogmapError,
+    ImpulseDivergenceError,
+    MethodNotApplicableError,
+    ValidationError,
+)
 from .impulse import impulse_general_influence, simulate, stability_check
 from .influence import general_influence, influence_matrix
 from .kosko import total_influence
@@ -196,6 +203,10 @@ def _csv_impulse_scores(p: dict) -> str:
 def _table_compare(p: dict) -> str:
     labels = p["labels"]
     acc = p["accumulated"]
+    if p["stable"]:  # a stable map lacks impulse scores only when they diverged
+        missing_cell, missing = "(diverged)", "diverged"
+    else:
+        missing_cell, missing = "(unstable: not applicable)", "not applicable"
     lines = [
         "stability: " + ("stable" if p["stable"] else "unstable"),
         f"{'rank':>5}  {'accumulated':<28} impulse",
@@ -204,7 +215,7 @@ def _table_compare(p: dict) -> str:
         a_vertex = acc["ranking"][pos]
         a_cell = f"{_vertex_name(a_vertex - 1, labels)} [{_fmt3(acc['scores'][a_vertex - 1])}]"
         if p["impulse"] is None:
-            i_cell = "(unstable: not applicable)" if pos == 0 else ""
+            i_cell = missing_cell if pos == 0 else ""
         else:
             i_vertex = p["impulse"]["ranking"][pos]
             i_cell = (
@@ -213,7 +224,7 @@ def _table_compare(p: dict) -> str:
             )
         lines.append(f"{pos + 1:>5}  {a_cell:<28} {i_cell}".rstrip())
     if p["rankings_agree"] is None:
-        lines.append("ranking agreement: impulse method not applicable")
+        lines.append(f"ranking agreement: impulse method {missing}")
     elif p["rankings_agree"]:
         lines.append("ranking agreement: the two methods rank the vertices identically")
     else:
@@ -549,6 +560,9 @@ def compare(map_file, eps, max_steps, fmt, decimal_comma, max_paths, max_len, th
         if exc.verdict.stable:  # a stable map that did not converge: exit 4
             raise
         stable, impulse_part, agree = False, None, None
+    except ImpulseDivergenceError as exc:  # stable, but an impulse overflowed
+        click.echo(f"warning: {exc}", err=True)
+        stable, impulse_part, agree = True, None, None
     else:
         stable = True
         impulse_part = {"scores": report.scores, "ranking": report.ranking}

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import NonFiniteInfluenceError, PathBudgetError
 from .maps import CognitiveMap, max_abs_weight
-from .paths import DEFAULT_MAX_PATHS, PathSet, _check_budget, enumerate_with_budget
+from .paths import DEFAULT_MAX_PATHS, PathSet, _check_budget, _simple_paths
 
 __all__ = [
     "damping",
@@ -163,9 +164,9 @@ def influence_matrix(
 
     ``max_paths`` bounds the paths counted per pair.  A row stops at its
     first overflowing target; the smaller targets of that row are re-checked
-    pair by pair (each check stops after ``max_paths + 1`` paths), so the
-    :class:`PathBudgetError` names the first overflowing pair in row-major
-    order.  Raises :class:`NonFiniteInfluenceError` naming the first
+    pair by pair (each check counts up to ``max_paths + 1`` paths and keeps
+    none), so the :class:`PathBudgetError` names the first overflowing pair
+    in row-major order.  Raises :class:`NonFiniteInfluenceError` naming the first
     non-finite entry when weights near the float maximum overflow.
     """
     n = cmap.n
@@ -182,9 +183,10 @@ def influence_matrix(
             # raise here is the first overflowing pair in row-major order
             for target in range(overflow):
                 if target != source:
-                    enumerate_with_budget(
-                        cmap, source, target, max_paths=max_paths, max_len=max_len
-                    )
+                    # skip max_paths paths, keeping none, and look for one more
+                    paths = _simple_paths(cmap, source, target, max_len)
+                    if next(islice(paths, max_paths, None), None) is not None:
+                        raise PathBudgetError(source, target, max_paths)
             raise PathBudgetError(source, overflow, max_paths)
         Z[source] = row
     bad = np.argwhere(~np.isfinite(Z))

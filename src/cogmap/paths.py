@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import PathBudgetError
 from .maps import CognitiveMap
@@ -97,20 +98,24 @@ def enumerate_with_budget(
     result can never be mistaken for a full one.
     """
     _check_pair(cmap, source, target)
-    n = cmap.n
-    max_len = _check_budget(n, max_paths, max_len)
+    max_len = _check_budget(cmap.n, max_paths, max_len)
+    found = tuple(islice(_simple_paths(cmap, source, target, max_len), max_paths + 1))
+    if len(found) > max_paths:
+        raise PathBudgetError(source, target, max_paths)
+    return PathSet(source, target, found)
+
+
+def _simple_paths(cmap: CognitiveMap, source: int, target: int, max_len: int):
+    """Yield the simple paths source -> target of at most ``max_len`` edges, in order."""
     successors = [[j for j, x in enumerate(row) if x != 0.0] for row in cmap.weights.tolist()]
-    found: list[tuple[int, ...]] = []
     path = [source]
-    on_path = [False] * n
+    on_path = [False] * cmap.n
     on_path[source] = True
     stack = [iter(successors[source])]  # one successor iterator per path vertex
     while stack:
         for nxt in stack[-1]:
             if nxt == target:
-                if len(found) >= max_paths:
-                    raise PathBudgetError(source, target, max_paths)
-                found.append(tuple(path) + (target,))
+                yield tuple(path) + (target,)
             # a path of k vertices has k-1 edges; len(path) <= max_len holds
             # throughout, so closing with the target never exceeds the bound
             elif len(path) < max_len and not on_path[nxt]:
@@ -121,7 +126,6 @@ def enumerate_with_budget(
         else:
             stack.pop()
             on_path[path.pop()] = False
-    return PathSet(source, target, tuple(found))
 
 
 # all simple paths source -> target under the default budget; empty when the

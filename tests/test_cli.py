@@ -484,6 +484,121 @@ class TestCompareCommand:
         assert doc["accumulated"]["ranking"] == doc["impulse"]["ranking"] == [3, 2, 4, 1]
 
 
+# a nilpotent chain is stable, but its impulses overflow at step 2 while
+# every accumulated influence stays below twice the largest weight
+HUGE_CHAIN = "0,1e200,0,0\n0,0,1e200,0\n0,0,0,1e200\n0,0,0,0\n"
+DIVERGED = "warning: impulse simulation from vertex 1 diverged: non-finite value at step 2\n"
+
+
+class TestCompareDiverged:
+    @pytest.fixture()
+    def chain(self, tmp_path):
+        path = tmp_path / "chain.csv"
+        path.write_text(HUGE_CHAIN)
+        return str(path)
+
+    def test_table_marks_impulse_diverged(self, run, chain):
+        code, out, err = run("compare", chain)
+        assert (code, err) == (0, DIVERGED)
+        assert out == (
+            "stability: stable\n"
+            " rank  accumulated                  impulse\n"
+            "    1  1 [1.976e+200]               (diverged)\n"
+            "    2  2 [1.865e+200]\n"
+            "    3  3 [1.000e+200]\n"
+            "    4  4 [0.000]\n"
+            "ranking agreement: impulse method diverged\n"
+        )
+
+    def test_json_keeps_the_keys(self, run, chain):
+        code, out, err = run("compare", chain, "--format", "json")
+        assert (code, err) == (0, DIVERGED)
+        doc = json.loads(out)
+        assert (doc["stable"], doc["impulse"], doc["rankings_agree"]) == (True, None, None)
+        acc = general_influence(influence_matrix(load_map(HUGE_CHAIN)))
+        assert doc["accumulated"] == {"scores": list(acc.scores), "ranking": [1, 2, 3, 4]}
+
+    def test_csv_leaves_impulse_cells_empty(self, run, chain):
+        code, out, err = run("compare", chain, "--format", "csv")
+        assert (code, err) == (0, DIVERGED)
+        rows = out.splitlines()
+        assert rows[0] == "rank,accumulated_vertex,accumulated_score,impulse_vertex,impulse_score"
+        assert [row.split(",")[1] for row in rows[1:]] == ["1", "2", "3", "4"]
+        assert all(row.endswith(",,") for row in rows[1:])
+
+    def test_impulse_scores_still_exit_3(self, run, chain):
+        code, out, err = run("impulse", chain, "--scores")
+        assert (code, out) == (3, "")
+        assert err == DIVERGED.replace("warning", "error")
+
+
+LABELLED = CognitiveMap(
+    [[0, 0.5, -0.2, 0], [0, 0, 0, 0.7], [0.1, 0, 0, 0.3], [0, -0.4, 0, 0]],
+    ("a", "b b", "c", "d"),
+)
+
+
+def _bits(value):
+    """``value`` with every float replaced by its hex form, so -0.0 != 0.0."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    return value
+
+
+@pytest.mark.parametrize("labelled", [True, False], ids=["labelled", "unlabelled"])
+def test_json_carries_the_api_values_bit_for_bit(run, tmp_path, labelled):
+    cmap = LABELLED if labelled else CognitiveMap(LABELLED.weights)
+    path = tmp_path / "map.json"
+    save_map(cmap, path, "json")
+
+    def doc(*argv):
+        code, out, _ = run(argv[0], str(path), *argv[1:], "--format", "json")
+        assert code == 0
+        return _bits(json.loads(out))
+
+    labels = list(cmap.labels) if labelled else None
+    Z = influence_matrix(cmap)
+    acc = general_influence(Z)
+    imp = cogmap.impulse_general_influence(cmap)
+    verdict = cogmap.stability_check(cmap)
+    analyze = doc("analyze")
+    assert analyze["labels"] == labels
+    assert analyze["influence"] == _bits(Z.tolist())
+    assert [analyze["scores"], analyze["ranking"]] == _bits((acc.scores, acc.ranking))
+    compare = doc("compare")
+    assert compare["labels"] == labels
+    assert compare["accumulated"] == _bits({"scores": acc.scores, "ranking": acc.ranking})
+    assert compare["impulse"] == _bits({"scores": imp.scores, "ranking": imp.ranking})
+    scores = doc("impulse", "--scores")
+    assert scores["labels"] == labels
+    assert [scores["scores"], scores["ranking"]] == _bits((imp.scores, imp.ranking))
+    check = doc("scale-check", "--eta", "3")
+    scaled = general_influence(influence_matrix(cogmap.scale_map(cmap, 3.0)))
+    assert check["labels"] == labels
+    assert [check["base_scores"], check["base_ranking"]] == _bits((acc.scores, acc.ranking))
+    assert check["checks"][0]["scores"] == _bits(scaled.scores)
+    stability = doc("stability")
+    assert stability["magnitudes"] == _bits(verdict.magnitudes)
+    assert stability["spectral_radius"] == _bits(verdict.spectral_radius)
+    assert [(e["re"], e["im"]) for e in stability["eigenvalues"]] == [
+        (e.real.hex(), e.imag.hex()) for e in verdict.eigenvalues
+    ]
+    pathset = cogmap.enumerate_with_budget(cmap, 0, 3)
+    assert doc("paths", "--from", "1", "--to", "4")["paths"] == [
+        {"vertices": [v + 1 for v in p], "weights": _bits(pathset.edge_weights(cmap, p))}
+        for p in pathset
+    ]
+    kosko = cogmap.total_influence(cmap, 0, 3)
+    assert doc("kosko", "--from", "1", "--to", "4")["paths"] == [
+        {"vertices": [v + 1 for v in p], "weakest": weakest.hex()}
+        for p, weakest in kosko.per_path.items()
+    ]
+
+
 class TestScaleCheckCommand:
     def test_eta_one_has_zero_deviation(self, run):
         code, out, _ = run("scale-check", FOUR_STABLE, "--eta", "1", "--format", "json")

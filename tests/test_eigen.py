@@ -69,6 +69,10 @@ class TestInterface:
         with pytest.raises(ValueError):
             eigenvalues(np.zeros((2, 3)))
 
+    def test_empty_matrix_has_no_eigenvalues(self):
+        eigs = eigenvalues(np.zeros((0, 0)))
+        assert (eigs.shape, eigs.dtype) == ((0,), np.dtype(complex))
+
     def test_conjugate_pairs_come_out_conjugate(self):
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i
         eigs = eigenvalues(A)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,19 @@ class TestKernelAgainstReference:
         with pytest.raises(PathBudgetError) as excinfo:
             influence_matrix(CognitiveMap(w), max_paths=1)
         assert (excinfo.value.source, excinfo.value.target) == (0, 1)
+
+    def test_overflow_recheck_keeps_no_paths(self):
+        # on K9 row 0 overflows at target 8 first; the re-check then walks
+        # 2001 paths to target 1, which as tuples would take ~220 KB
+        tracemalloc.start()
+        try:
+            with pytest.raises(PathBudgetError) as excinfo:
+                influence_matrix(complete_map(9, 0.5), max_paths=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (excinfo.value.source, excinfo.value.target) == (0, 1)
+        assert peak < 50_000
 
 
 class TestNonFinite:
