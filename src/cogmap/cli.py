@@ -31,12 +31,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import (
-    CogmapError,
-    ImpulseDivergenceError,
-    MethodNotApplicableError,
-    ValidationError,
-)
+from .errors import CogmapError, ImpulseDivergenceError, MethodNotApplicableError, ValidationError
 from .impulse import impulse_general_influence, simulate, stability_check
 from .influence import general_influence, influence_matrix
 from .kosko import total_influence

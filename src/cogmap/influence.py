@@ -166,8 +166,8 @@ def influence_matrix(
     first overflowing target; the smaller targets of that row are re-checked
     pair by pair (each check counts up to ``max_paths + 1`` paths and keeps
     none), so the :class:`PathBudgetError` names the first overflowing pair
-    in row-major order.  Raises :class:`NonFiniteInfluenceError` naming the first
-    non-finite entry when weights near the float maximum overflow.
+    in row-major order.  Raises :class:`NonFiniteInfluenceError` naming the
+    first non-finite entry when weights near the float maximum overflow.
     """
     n = cmap.n
     max_len = _check_budget(n, max_paths, max_len)
