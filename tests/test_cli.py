@@ -82,13 +82,16 @@ class TestAnalyze:
         Z = influence_matrix(load_fixture("four_stable"))
         assert np.array_equal(np.array(doc["influence"]), Z)
 
-    def test_csv_reloads_to_same_values(self, run):
-        code, out, _ = run("analyze", SANITATION, "--format", "csv")
-        assert code == 0
-        reloaded = load_map(out, "csv")
-        Z = influence_matrix(load_fixture("sanitation"))
-        assert np.array_equal(reloaded.weights, Z)
-        assert reloaded.labels == load_fixture("sanitation").labels
+    def test_csv_reloads_to_same_values(self, run, tmp_path):
+        labelled = tmp_path / "labelled.json"
+        save_map(LABELLED, labelled, "json")
+        for path in [*(fixture_path(name) for name in FIXTURE_NAMES), labelled]:
+            code, out, err = run("analyze", str(path), "--format", "csv")
+            assert (code, err) == (0, "")
+            cmap = load_map(path, path.suffix[1:])
+            reloaded = load_map(out, "csv")
+            assert np.array_equal(reloaded.weights, influence_matrix(cmap)), path.name
+            assert reloaded.labels == cmap.labels
 
     def test_empty_file_is_validation_error(self, run, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -327,6 +330,10 @@ class TestPathsCommand:
         assert doc["count"] == len(doc["paths"]) > 0
         for entry in doc["paths"]:
             assert entry["vertices"][0] == 2 and entry["vertices"][-1] == 6
+
+    def test_csv_with_no_paths_prints_nothing(self, run):
+        code, out, err = run("paths", FOUR_HEAVY, "--from", "1", "--to", "2", "--format", "csv")
+        assert (code, out, err) == (0, "", "")
 
     def test_csv_rows_are_vertex_sequences(self, run):
         code, out, _ = run("paths", FOUR_STABLE, "--from", "1", "--to", "4", "--format", "csv")
@@ -597,6 +604,39 @@ def test_json_carries_the_api_values_bit_for_bit(run, tmp_path, labelled):
         {"vertices": [v + 1 for v in p], "weakest": weakest.hex()}
         for p, weakest in kosko.per_path.items()
     ]
+
+
+@pytest.mark.parametrize("name", ["four_stable", "sanitation"])
+def test_csv_carries_the_api_values(run, name):
+    """Each CSV renderer prints the API's values, exactly, with repr."""
+    cmap = load_fixture(name)
+    path = str(fixture_path(name))
+
+    def csv(*argv):
+        code, out, err = run(argv[0], path, *argv[1:], "--format", "csv")
+        assert (code, err) == (0, "")
+        return out
+
+    acc = general_influence(influence_matrix(cmap))
+    imp = cogmap.impulse_general_influence(cmap)
+    scaled = [general_influence(influence_matrix(cogmap.scale_map(cmap, eta))) for eta in (2, 0.5)]
+    assert csv("scale-check", "--eta", "2", "--eta", "0.5") == "vertex,base,eta_2,eta_0.5\n" + (
+        "".join(
+            f"{i + 1},{acc.scores[i]!r},{scaled[0].scores[i]!r},{scaled[1].scores[i]!r}\n"
+            for i in range(cmap.n)
+        )
+    )
+    rank_of = {v: pos for pos, v in enumerate(imp.ranking, start=1)}
+    assert csv("impulse", "--scores") == "vertex,score,rank\n" + "".join(
+        f"{i + 1},{s!r},{rank_of[i + 1]}\n" for i, s in enumerate(imp.scores)
+    )
+    assert csv("compare") == (
+        "rank,accumulated_vertex,accumulated_score,impulse_vertex,impulse_score\n"
+        + "".join(
+            f"{pos},{a},{acc.scores[a - 1]!r},{i},{imp.scores[i - 1]!r}\n"
+            for pos, (a, i) in enumerate(zip(acc.ranking, imp.ranking), start=1)
+        )
+    )
 
 
 class TestScaleCheckCommand:
