@@ -35,7 +35,7 @@ from .errors import CogmapError, ImpulseDivergenceError, MethodNotApplicableErro
 from .impulse import impulse_general_influence, simulate, stability_check
 from .influence import general_influence, influence_matrix
 from .kosko import total_influence
-from .maps import CognitiveMap, load_map, scale_map
+from .maps import CognitiveMap, dumps_map, load_map, scale_map
 from .paths import DEFAULT_MAX_PATHS, enumerate_with_budget
 
 __all__ = ["cli", "main"]
@@ -80,53 +80,48 @@ def _ranking_lines(scores, ranking, labels, score_header: str) -> list[str]:
     return lines
 
 
-def _table_analyze(p: dict) -> str:
+def _table_analyze(p: dict) -> list[str]:
     lines = _legend_lines(p["labels"])
     lines += _matrix_lines(p["influence"], f"accumulated influence matrix ({p['n']} vertices):")
     lines.append("")
-    lines += _ranking_lines(p["scores"], p["ranking"], p["labels"], "influence")
-    return "\n".join(lines) + "\n"
+    return lines + _ranking_lines(p["scores"], p["ranking"], p["labels"], "influence")
 
 
-def _csv_analyze(p: dict) -> str:
-    out = [",".join(p["labels"])] if p["labels"] else []
-    out += [",".join(repr(v) for v in row) for row in p["influence"]]
-    return "\n".join(out) + "\n"
+def _csv_analyze(p: dict) -> list[str]:
+    # the influence matrix is finite with a zero diagonal, so it is a valid map
+    return [dumps_map(CognitiveMap(p["influence"], p["labels"]), "csv").removesuffix("\n")]
 
 
-def _table_stability(p: dict) -> str:
-    lines = [
+def _table_stability(p: dict) -> list[str]:
+    return [
         f"stable: {'yes' if p['stable'] else 'no'}",
         f"nonzero eigenvalues pairwise distinct: {'yes' if p['all_distinct'] else 'no'}",
         f"all magnitudes within unit circle: {'yes' if p['all_within_unit'] else 'no'}",
         f"spectral radius: {_fmt3(p['spectral_radius'])}",
         "eigenvalue magnitudes: " + ", ".join(_fmt3(m) for m in p["magnitudes"]),
     ]
-    return "\n".join(lines) + "\n"
 
 
-def _csv_stability(p: dict) -> str:
-    lines = ["re,im,magnitude"]
-    for e in p["eigenvalues"]:
-        lines.append(f"{e['re']!r},{e['im']!r},{e['magnitude']!r}")
-    return "\n".join(lines) + "\n"
+def _csv_stability(p: dict) -> list[str]:
+    return ["re,im,magnitude"] + [
+        f"{e['re']!r},{e['im']!r},{e['magnitude']!r}" for e in p["eigenvalues"]
+    ]
 
 
-def _table_paths(p: dict) -> str:
+def _table_paths(p: dict) -> list[str]:
     lines = []
     for entry in p["paths"]:
         route = " -> ".join(str(v) for v in entry["vertices"])
         weights = ", ".join(_fmt3(w) for w in entry["weights"])
         lines.append(f"{route}  [{weights}]")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return lines
 
 
-def _csv_paths(p: dict) -> str:
-    lines = [",".join(str(v) for v in entry["vertices"]) for entry in p["paths"]]
-    return "\n".join(lines) + ("\n" if lines else "")
+def _csv_paths(p: dict) -> list[str]:
+    return [",".join(str(v) for v in entry["vertices"]) for entry in p["paths"]]
 
 
-def _table_kosko(p: dict) -> str:
+def _table_kosko(p: dict) -> list[str]:
     lines = []
     for entry in p["paths"]:
         route = " -> ".join(str(v) for v in entry["vertices"])
@@ -135,19 +130,19 @@ def _table_kosko(p: dict) -> str:
         lines.append("total influence: none (target unreachable)")
     else:
         lines.append(f"total influence (strongest path): {_fmt3(p['total'])}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _csv_kosko(p: dict) -> str:
+def _csv_kosko(p: dict) -> list[str]:
     lines = ["path,weakest"]
     for entry in p["paths"]:
         lines.append("-".join(str(v) for v in entry["vertices"]) + f",{entry['weakest']!r}")
     total = "" if p["total"] is None else repr(p["total"])
     lines.append(f"total,{total}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _table_impulse(p: dict) -> str:
+def _table_impulse(p: dict) -> list[str]:
     if p["converged"]:
         head = f"converged after {p['steps_to_converge']} steps (max |impulse| < {p['eps']:g})"
     else:
@@ -155,47 +150,34 @@ def _table_impulse(p: dict) -> str:
             f"did not converge within {p['steps']} steps "
             f"(final max |impulse| {p['final_max_impulse']:.6g})"
         )
-    lines = [
+    return [
         f"unit impulse at vertex {p['source']}",
         head,
         "final values: " + ", ".join(_fmt3(v) for v in p["final_values"]),
     ]
-    return "\n".join(lines) + "\n"
 
 
-def _csv_impulse(p: dict) -> str:
+def _csv_impulse(p: dict) -> list[str]:
     n = len(p["final_values"])
-    header = (
-        "t,"
-        + ",".join(f"v_{j + 1}" for j in range(n))
-        + ","
-        + ",".join(f"p_{j + 1}" for j in range(n))
-    )
-    lines = [header]
-    for t, (v_row, p_row) in enumerate(zip(p["trace_values"], p["trace_impulses"])):
-        lines.append(
-            f"{t},"
-            + ",".join(repr(x) for x in v_row)
-            + ","
-            + ",".join(repr(x) for x in p_row)
-        )
-    return "\n".join(lines) + "\n"
+    header = ["t", *(f"v_{j + 1}" for j in range(n)), *(f"p_{j + 1}" for j in range(n))]
+    return [",".join(header)] + [
+        ",".join([str(t), *map(repr, v_row), *map(repr, p_row)])
+        for t, (v_row, p_row) in enumerate(zip(p["trace_values"], p["trace_impulses"]))
+    ]
 
 
-def _table_impulse_scores(p: dict) -> str:
-    lines = _ranking_lines(p["scores"], p["ranking"], p["labels"], "impulse influence")
-    return "\n".join(lines) + "\n"
+def _table_impulse_scores(p: dict) -> list[str]:
+    return _ranking_lines(p["scores"], p["ranking"], p["labels"], "impulse influence")
 
 
-def _csv_impulse_scores(p: dict) -> str:
-    lines = ["vertex,score,rank"]
+def _csv_impulse_scores(p: dict) -> list[str]:
     rank_of = {v: pos for pos, v in enumerate(p["ranking"], start=1)}
-    for i, score in enumerate(p["scores"]):
-        lines.append(f"{i + 1},{score!r},{rank_of[i + 1]}")
-    return "\n".join(lines) + "\n"
+    return ["vertex,score,rank"] + [
+        f"{i + 1},{score!r},{rank_of[i + 1]}" for i, score in enumerate(p["scores"])
+    ]
 
 
-def _table_compare(p: dict) -> str:
+def _table_compare(p: dict) -> list[str]:
     labels = p["labels"]
     acc = p["accumulated"]
     if p["stable"]:  # a stable map lacks impulse scores only when they diverged
@@ -224,10 +206,10 @@ def _table_compare(p: dict) -> str:
         lines.append("ranking agreement: the two methods rank the vertices identically")
     else:
         lines.append("ranking agreement: the rankings differ")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _csv_compare(p: dict) -> str:
+def _csv_compare(p: dict) -> list[str]:
     lines = ["rank,accumulated_vertex,accumulated_score,impulse_vertex,impulse_score"]
     acc = p["accumulated"]
     for pos in range(len(acc["ranking"])):
@@ -239,10 +221,10 @@ def _csv_compare(p: dict) -> str:
             i_vertex = p["impulse"]["ranking"][pos]
             row += f",{i_vertex},{p['impulse']['scores'][i_vertex - 1]!r}"
         lines.append(row)
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _table_scale_check(p: dict) -> str:
+def _table_scale_check(p: dict) -> list[str]:
     lines = _legend_lines(p["labels"])
     header = f"{'vertex':>6} {'base':>12}"
     for chk in p["checks"]:
@@ -260,17 +242,15 @@ def _table_scale_check(p: dict) -> str:
             f"{chk['max_rel_deviation']:.3e}; ranking "
             + ("identical" if chk["ranking_identical"] else "DIFFERS")
         )
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _csv_scale_check(p: dict) -> str:
+def _csv_scale_check(p: dict) -> list[str]:
     header = "vertex,base," + ",".join(f"eta_{chk['eta']:g}" for chk in p["checks"])
-    lines = [header]
-    for i in range(len(p["base_scores"])):
-        row = [str(i + 1), repr(p["base_scores"][i])]
-        row += [repr(chk["scores"][i]) for chk in p["checks"]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return [header] + [
+        ",".join([str(i + 1), repr(base), *(repr(chk["scores"][i]) for chk in p["checks"])])
+        for i, base in enumerate(p["base_scores"])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +269,15 @@ def _load_cli_map(map_file: str, decimal_comma: bool) -> CognitiveMap:
 
 
 def _echo(fmt: str, payload: dict, table, csv) -> None:
-    """Write ``payload`` as JSON, or through the command's table or csv renderer."""
+    """Write ``payload`` as JSON, or through the command's table or csv renderer.
+
+    Renderers return lines without their newlines; no lines prints nothing.
+    """
     if fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        lines = [json.dumps(payload, indent=2)]
     else:
-        text = (table if fmt == "table" else csv)(payload)
-    click.echo(text, nl=False)
+        lines = (table if fmt == "table" else csv)(payload)
+    click.echo("".join(line + "\n" for line in lines), nl=False)
 
 
 def _one_based(ctx_name: str, value: int, n: int) -> int:
@@ -588,16 +571,17 @@ def compare(map_file, eps, max_steps, fmt, decimal_comma, max_paths, max_len, th
 def scale_check(map_file, etas, fmt, decimal_comma, max_paths, max_len, threads):
     """Verify that scaling all weights by eta scales every score by eta."""
     cmap = _load_cli_map(map_file, decimal_comma)
-    base = general_influence(
-        influence_matrix(cmap, max_paths=max_paths, max_len=max_len, threads=threads)
-    )
-    checks = []
-    for eta in etas:
-        scaled = general_influence(
+    # eta 1.0 scales exactly, so the base scores keep their bits
+    base, *scaled_reports = (
+        general_influence(
             influence_matrix(
                 scale_map(cmap, eta), max_paths=max_paths, max_len=max_len, threads=threads
             )
         )
+        for eta in (1.0, *etas)
+    )
+    checks = []
+    for eta, scaled in zip(etas, scaled_reports):
         expected = [eta * s for s in base.scores]
         deviations = [
             abs(got - want) / abs(want) if want != 0 else abs(got - want)

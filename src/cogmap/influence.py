@@ -132,9 +132,7 @@ def pair_influence(
     """
     total = 0.0
     for path in paths:
-        total += accumulate_full(cmap, path, max_weight) - accumulate_truncated(
-            cmap, path, max_weight
-        )
+        total += path_influence(cmap, path, max_weight).partial
     return total
 
 
