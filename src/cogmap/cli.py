@@ -13,11 +13,11 @@ integers >= 1, ``--eps`` and ``--eta`` positive finite numbers.  Any other
 value is a usage error, whatever the map.
 
 Exit codes: 0 success, 1 usage, 2 input validation, 3 numerical failure
-(including an influence or score that overflows, with nothing on stdout) or
-exceeded path budget, 4 method not applicable (impulse scoring on an
-unstable map).  ``compare`` always prints the accumulated ranking: an impulse
-column it cannot fill makes it exit 0, except on a stable map whose impulse
-processes run out of steps (exit 4).
+(including an influence, score or scaled weight that overflows, with nothing
+on stdout) or exceeded path budget, 4 method not applicable (impulse scoring
+on an unstable map).  ``compare`` always prints the accumulated ranking: an
+impulse column it cannot fill makes it exit 0, except on a stable map whose
+impulse processes run out of steps (exit 4).
 """
 
 from __future__ import annotations
@@ -511,9 +511,10 @@ def impulse(map_file, source, eps, max_steps, scores, fmt, decimal_comma):
         "steps_to_converge": trace.steps_to_converge,
         "final_values": trace.final_values.tolist(),
         "final_max_impulse": float(np.max(np.abs(trace.impulses[-1]))),
-        "trace_values": trace.values.tolist(),
-        "trace_impulses": trace.impulses.tolist(),
     }
+    if fmt != "table":  # only JSON and CSV print the trace
+        payload["trace_values"] = trace.values.tolist()
+        payload["trace_impulses"] = trace.impulses.tolist()
     _echo(fmt, payload, _table_impulse, _csv_impulse)
 
 

@@ -14,7 +14,9 @@ Two on-disk formats are supported:
   is used instead: cells separated by semicolons, decimal commas ("0,391").
 
 Writers emit the shortest decimal representation that round-trips, so
-``load_map(save_map(m)) == m`` exactly.
+``load_map(save_map(m)) == m`` exactly.  The CSV writer refuses labels that
+the reader would not give back (a comma, a line break, surrounding
+whitespace, a header of numbers); JSON takes any label.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import IO, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CogmapError, ValidationError
 
 __all__ = [
     "CognitiveMap",
@@ -66,7 +68,7 @@ class CognitiveMap:
         if bad.size:
             i, j = bad[0]
             raise ValidationError(
-                f"non-finite weight at row {i + 1}, column {j + 1}: {w[i, j]!r}"
+                f"non-finite weight at row {i + 1}, column {j + 1}: {float(w[i, j])!r}"
             )
         nz = np.argwhere(np.diagonal(w) != 0.0)
         if nz.size:
@@ -114,20 +116,21 @@ Source = Union[str, bytes, Path, IO]
 
 
 def _read_text(source: Source) -> str:
+    """The source's text, without the UTF-8 BOM that Excel writes."""
     if isinstance(source, Path):
         data = source.read_bytes()
     elif isinstance(source, (str, bytes)):
         data = source
     else:
         data = source.read()
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(
-            f"not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}"
-        ) from None
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}"
+            ) from None
+    return data.removeprefix("\ufeff")
 
 
 def _number(cell: str, decimal_comma: bool) -> float | None:
@@ -150,17 +153,24 @@ def _parse_cell(cell: str, row: int, col: int, decimal_comma: bool) -> float:
     return value
 
 
-def _load_csv(text: str, decimal_comma: bool) -> CognitiveMap:
+def _csv_rows(text: str, decimal_comma: bool) -> tuple[tuple[str, ...] | None, list[list[str]]]:
+    """The header's labels, or None if the first row is numbers, and the matrix rows' cells.
+
+    Blank lines are skipped; a first row with any non-numeric cell is the header.
+    """
     delim = ";" if decimal_comma else ","
     rows = [line.split(delim) for line in text.splitlines() if line.strip()]
+    if rows and any(_number(c, decimal_comma) is None for c in rows[0]):
+        return tuple(c.strip() for c in rows[0]), rows[1:]
+    return None, rows
+
+
+def _load_csv(text: str, decimal_comma: bool) -> CognitiveMap:
+    labels, rows = _csv_rows(text, decimal_comma)
     if not rows:
-        raise ValidationError("empty CSV: no rows")
-    labels = None
-    if any(_number(c, decimal_comma) is None for c in rows[0]):
-        labels = tuple(c.strip() for c in rows[0])
-        rows = rows[1:]
-        if not rows:
-            raise ValidationError("CSV has a header row but no matrix rows")
+        raise ValidationError(
+            "empty CSV: no rows" if labels is None else "CSV has a header row but no matrix rows"
+        )
     n = len(rows)
     matrix = []  # an n x n array is built only once every row has n cells
     for i, row in enumerate(rows):
@@ -215,7 +225,7 @@ def load_map(source: Source, fmt: str = "csv", *, decimal_comma: bool = False) -
     ``fmt`` is ``"csv"`` or ``"json"``.  Raises :class:`ValidationError` with
     the offending row/column named for any malformed input.
     """
-    text = _read_text(source).removeprefix("\ufeff")  # Excel writes a UTF-8 BOM
+    text = _read_text(source)
     if fmt == "csv":
         return _load_csv(text, decimal_comma)
     if fmt == "json":
@@ -224,11 +234,22 @@ def load_map(source: Source, fmt: str = "csv", *, decimal_comma: bool = False) -
 
 
 def dumps_map(cmap: CognitiveMap, fmt: str = "csv") -> str:
-    """Serialize ``cmap``; inverse of :func:`load_map` for both formats."""
+    """Serialize ``cmap``; inverse of :func:`load_map` for both formats.
+
+    Raises :class:`ValidationError` naming the first label that CSV cannot
+    carry, one the reader would not give back as written.
+    """
     if fmt == "csv":
         out = io.StringIO()
         if cmap.labels:
-            out.write(",".join(cmap.labels) + "\n")
+            header = ",".join(cmap.labels)
+            read = _csv_rows(_read_text(header), decimal_comma=False)[0]  # as load_map reads it
+            if read != cmap.labels:
+                bad = next((s for s, r in zip(cmap.labels, read or ()) if s != r), cmap.labels[0])
+                raise ValidationError(
+                    f"label {bad!r} would not read back from CSV; save the map as JSON"
+                )
+            out.write(header + "\n")
         for row in cmap.weights:
             out.write(",".join(repr(float(v)) for v in row) + "\n")
         return out.getvalue()
@@ -278,7 +299,20 @@ def reachability_closure(cmap: CognitiveMap) -> np.ndarray:
 
 
 def scale_map(cmap: CognitiveMap, eta: float) -> CognitiveMap:
-    """Multiply every edge weight by ``eta`` (> 0, finite)."""
+    """Multiply every edge weight by ``eta`` (> 0, finite).
+
+    Raises :class:`CogmapError` naming eta and the first weight, in
+    row-major order, whose product overflows.
+    """
     if not (isinstance(eta, (int, float)) and math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be a positive finite number, got {eta!r}")
-    return CognitiveMap(cmap.weights * float(eta), cmap.labels)
+    with np.errstate(over="ignore"):
+        weights = cmap.weights * float(eta)
+    bad = np.argwhere(np.isinf(weights))
+    if bad.size:
+        i, j = (int(k) for k in bad[0])
+        raise CogmapError(
+            f"scaling by eta {float(eta)!r} overflows the weight {float(cmap.weights[i, j])!r} "
+            f"at row {i + 1}, column {j + 1}"
+        )
+    return CognitiveMap(weights, cmap.labels)

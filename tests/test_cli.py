@@ -5,9 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cogmap.cli
 import cogmap.eigen
@@ -17,6 +20,7 @@ from cogmap import (
     EigenConvergenceError,
     FIXTURE_NAMES,
     InfluenceReport,
+    ValidationError,
     fixture_path,
     general_influence,
     influence_matrix,
@@ -92,6 +96,22 @@ class TestAnalyze:
             reloaded = load_map(out, "csv")
             assert np.array_equal(reloaded.weights, influence_matrix(cmap)), path.name
             assert reloaded.labels == cmap.labels
+
+    @pytest.mark.parametrize(
+        "labels",
+        [("1", "2"), ("a,b", "c"), (" a", "b"), ("",)],
+        ids=["numbers", "comma", "space", "empty"],
+    )
+    def test_csv_refuses_labels_it_cannot_read_back(self, run, tmp_path, labels):
+        path = tmp_path / "labelled.json"
+        save_map(CognitiveMap(np.zeros((len(labels), len(labels))), labels), path, "json")
+        code, out, err = run("analyze", str(path), "--format", "csv")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"validation error: label {labels[0]!r} would not read back from CSV; "
+            "save the map as JSON\n"
+        )
+        assert run("analyze", str(path), "--format", "json")[0] == 0
 
     def test_empty_file_is_validation_error(self, run, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -431,6 +451,26 @@ class TestImpulseCommand:
         assert [float(x) for x in first[5:]] == [1.0, 0.0, 0.0, 0.0]
         assert len(lines) == 63  # header + t = 0..61
 
+    def test_table_builds_no_trace(self, run, tmp_path):
+        # a 50-cycle never converges; only JSON and CSV print its trace, which
+        # as Python lists takes four times the memory of the arrays
+        n = 50
+        cycle = CognitiveMap(np.roll(np.eye(n), 1, axis=1))
+        path = tmp_path / "cycle.csv"
+        save_map(cycle, path)
+        tracemalloc.start()
+        try:
+            cogmap.simulate(cycle, np.eye(n)[0], max_steps=4000)
+            simulated = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            code, out, _ = run("impulse", str(path), "--max-steps", "4000")
+            printed = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert "did not converge within 4000 steps" in out
+        assert printed < 1.25 * simulated
+
     def test_non_convergence_reported(self, run):
         code, out, _ = run("impulse", FOUR_UNSTABLE, "--from", "1", "--max-steps", "50")
         assert code == 0
@@ -662,6 +702,15 @@ class TestScaleCheckCommand:
             "over its row overflows\n"
         )
 
+    def test_scaling_that_overflows_a_weight_is_exit_3(self, run, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1e10\n1,0\n")
+        code, out, err = run("scale-check", str(path), "--eta", "1e300")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: scaling by eta 1e+300 overflows the weight 10000000000.0 at row 1, column 2\n"
+        )
+
     def test_requires_eta(self, run):
         code, _, _ = run("scale-check", SANITATION)
         assert code == 1
@@ -685,6 +734,48 @@ class TestScaleCheckCommand:
         assert err == "error: ranking changed under scaling; this indicates a numerical problem\n"
 
 
+# spellings of numbers and non-numbers that float() and json.loads meet in map files
+CELLS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", " 0 ", "-0", "nan", "NaN", "inf", "-Infinity", "1e999", "1_0", "\u0663"]),
+    st.text(max_size=2),
+)
+
+
+def _grid(draw, cell, n: int) -> list[list]:
+    """n x n cells or ragged rows, the diagonal often zero so that some grids are maps."""
+    square = st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n)
+    rows = draw(square | st.lists(st.lists(cell, max_size=n + 1), max_size=n + 1))
+    if draw(st.booleans()):
+        for i, cells in enumerate(rows):
+            if i < len(cells):
+                cells[i] = 0
+    return rows
+
+
+@st.composite
+def fuzzed_csv(draw) -> bytes:
+    """A grid of hostile cells, maybe under a header, with any line ending and maybe a BOM."""
+    n = draw(st.integers(1, 4))
+    rows = _grid(draw, CELLS, n)
+    if draw(st.booleans()):
+        rows.insert(0, draw(st.lists(st.text(max_size=3), min_size=n, max_size=n)))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return (bom + newline.join(",".join(map(str, cells)) for cells in rows)).encode()
+
+
+@st.composite
+def fuzzed_json(draw) -> bytes:
+    """A grid of any JSON values, NaN and Infinity included, maybe labelled."""
+    n = draw(st.integers(1, 4))
+    value = st.floats() | st.integers(-(10**400), 10**400) | st.booleans() | st.none() | st.text()
+    doc = {"weights": _grid(draw, value, n)}
+    if draw(st.booleans()):
+        doc["labels"] = draw(st.lists(st.text(max_size=3) | st.integers(), max_size=n + 1))
+    return json.dumps(doc).encode()
+
+
 HOSTILE_INPUTS = {
     "crlf.csv": b"0,1\r\n1,0\r\n",
     "empty.csv": b"",
@@ -698,6 +789,16 @@ HOSTILE_INPUTS = {
     "label-mismatch.json": b'{"labels": ["a"], "weights": [[0, 1], [1, 0]]}',
     "directory": None,
     "missing.csv": None,
+    "ragged.csv": b"0,1\n1\n",
+    "bom-crlf.csv": b"\xef\xbb\xbfa,b\r\n0,1\r\n1,0\r\n",
+    "inf-spellings.csv": b"0,Infinity\n-inf,0\n",
+    "nan.json": b'{"weights": [[0, NaN], [1, 0]]}',
+    "near-max.csv": b"0,1e308\n1,0\n",
+    "wide.csv": b"0," * 100_000 + b"0\n",
+    "wide-header-only.csv": b"a," * 100_000 + b"a\n",
+    "wide.json": b'{"weights": [[' + b"0, " * 100_000 + b"0]]}",
+    "fuzzed.csv": fuzzed_csv(),
+    "fuzzed.json": fuzzed_json(),
 }
 HOSTILE_COMMANDS = {
     "analyze": (),
@@ -712,13 +813,31 @@ HOSTILE_COMMANDS = {
 @pytest.mark.parametrize("command", HOSTILE_COMMANDS)
 @pytest.mark.parametrize("name", HOSTILE_INPUTS)
 def test_every_input_ends_in_a_documented_exit_code(run, tmp_path, name, command):
+    """The loader returns a map or raises ValidationError; the CLI exits 2 just when it raises."""
     path = tmp_path / name
+
+    def check(data):
+        refused = True  # a directory or a missing file cannot be read
+        if data is not None:
+            path.write_bytes(data)
+            try:
+                assert isinstance(load_map(data, path.suffix[1:] or "csv"), CognitiveMap)
+                refused = False
+            except ValidationError:
+                pass
+        code, out, _ = run(command, str(path), *HOSTILE_COMMANDS[command])
+        assert code in range(5)
+        assert (code == 2) == refused
+        if refused:
+            assert out == ""
+
+    spec = HOSTILE_INPUTS[name]
     if name == "directory":
         path.mkdir()
-    elif HOSTILE_INPUTS[name] is not None:
-        path.write_bytes(HOSTILE_INPUTS[name])
-    code, _, _ = run(command, str(path), *HOSTILE_COMMANDS[command])
-    assert code in range(5)
+    if isinstance(spec, st.SearchStrategy):
+        settings(max_examples=25, deadline=None)(given(spec)(check))()
+    else:
+        check(spec)
 
 
 class TestDeterminism:

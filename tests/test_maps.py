@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cogmap import (
     CognitiveMap,
+    CogmapError,
     ValidationError,
     dumps_map,
     fixture_path,
@@ -139,6 +140,33 @@ class TestRoundTrip:
     def test_random_maps_round_trip(self, fmt, m):
         assert load_map(dumps_map(m, fmt), fmt) == m
 
+    @pytest.mark.parametrize(
+        "labels",
+        [("1", "2"), ("a,b", "c"), (" a", "b"), ("",), ("a", "b\n"), ("x", "y\u2028z"), ("nan",)],
+    )
+    def test_csv_refuses_labels_it_cannot_read_back(self, labels):
+        m = CognitiveMap(np.zeros((len(labels), len(labels))), labels)
+        with pytest.raises(ValidationError, match="would not read back from CSV"):
+            dumps_map(m, "csv")
+        assert load_map(dumps_map(m, "json"), "json") == m
+
+    @pytest.mark.parametrize("labels", [("b b", "c"), ("", "a"), ("1", "x"), ("", "")])
+    def test_csv_keeps_labels_it_can_read_back(self, labels):
+        m = CognitiveMap(np.zeros((len(labels), len(labels))), labels)
+        assert load_map(dumps_map(m, "csv"), "csv") == m
+
+    @settings(max_examples=200)
+    @given(labels=st.lists(st.text(), min_size=1, max_size=4))
+    def test_any_labels_round_trip_or_are_refused(self, labels):
+        m = CognitiveMap(np.zeros((len(labels), len(labels))), labels)
+        assert load_map(dumps_map(m, "json"), "json") == m
+        try:
+            text = dumps_map(m, "csv")
+        except ValidationError as exc:
+            assert "save the map as JSON" in str(exc)
+        else:
+            assert load_map(text, "csv") == m
+
     def test_save_to_stream(self, fixture_maps):
         buf = io.StringIO()
         save_map(fixture_maps["sanitation"], buf, "csv")
@@ -208,6 +236,15 @@ class TestScaleMap:
         with pytest.raises(ValueError):
             scale_map(fixture_maps["four_stable"], eta)
 
+    def test_overflow_names_eta_and_the_first_overflowing_weight(self):
+        m = CognitiveMap([[0, 1e10, 0], [-1e300, 0, 1], [2e10, 0, 0]])
+        with pytest.raises(CogmapError) as info:
+            scale_map(m, 1e300)
+        assert not isinstance(info.value, ValidationError)
+        assert str(info.value) == (
+            "scaling by eta 1e+300 overflows the weight 10000000000.0 at row 1, column 2"
+        )
+
     @given(m=cognitive_maps(), a=st.floats(0.1, 10), b=st.floats(0.1, 10))
     @settings(max_examples=40)
     def test_composition(self, m, a, b):
@@ -228,5 +265,5 @@ class TestCognitiveMapValidation:
     def test_rejects_nan(self):
         w = np.zeros((2, 2))
         w[0, 1] = np.nan
-        with pytest.raises(ValidationError, match="row 1, column 2"):
+        with pytest.raises(ValidationError, match="row 1, column 2: nan$"):
             CognitiveMap(w)
