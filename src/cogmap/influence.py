@@ -147,9 +147,11 @@ def influence_matrix(
 
     Each source row is one iterative depth-first walk over the simple paths
     leaving it, neighbours in ascending order.  Every path the walk reaches
-    ends at some target, so extending it by one edge costs one step of each
-    recurrence and adds the path's partial influence to that target's entry;
-    the walk then goes on through the target to later ones.  Preorder visits
+    ends at some target, so extending it by one edge costs two
+    multiplications, by boost factors computed once per extended path, and
+    adds the path's partial influence to that target's entry; the walk then
+    goes on through the target to later ones, unless the path already has
+    ``min(max_len, n - 1)`` edges and so cannot grow.  Preorder visits
     each target's paths in lexicographic order, the order of
     :func:`pair_influence` over :func:`enumerate_with_budget`, so every sum is
     formed in the same order and the matrix is bit-identical to the pair by
@@ -202,44 +204,50 @@ def influence_matrix(
 def _source_row(successors, source, mu, max_len, max_paths):
     """One source row by an iterative walk; ``(row, None)`` or ``(None, target)``.
 
-    Frames hold ``(vertex, successor iterator, z_full, z_trunc, edges)``.  The
-    recurrence step is inlined and gives the same floats as :func:`_walk`:
-    for z < 0, ``2 * (z / mu)`` is exactly ``-2 * |z / mu|``, and z == 0 gives
-    ``w`` as sign(0) = 0 does, so each path's ``full - truncated`` has the
-    same bits.
+    Frames hold ``(vertex, successor iterator, bf, bt, edges)``: the boost
+    factors ``1 + sign(z) * damping(|z| / mu)`` of the path's full and
+    truncated values, computed once when the frame is pushed, so a step is
+    two multiplications.  They are the floats :func:`_walk` forms before
+    multiplying by ``w``: for z < 0, ``2 * (z / mu)`` is exactly
+    ``-2 * |z / mu|``, and z == 0 gives 1.0 as sign(0) = 0 does.
+    The source frame has ``bt = 0.0``, so the first edge's truncated value is
+    ±0.0, which leaves ``w - nt`` equal to ``w`` and gives its child the
+    factor 1.0.  A path of ``min(max_len, n - 1)`` edges cannot grow, so it
+    is never pushed.
     """
     expm1 = math.expm1
     row = [0.0] * len(successors)
     count = [0] * len(successors)
     on_path = [False] * len(successors)
     on_path[source] = True
-    stack = [(source, iter(successors[source]), 0.0, 0.0, 0)]
+    depth = min(max_len, len(successors) - 1)
+    stack = [(source, iter(successors[source]), 1.0, 0.0, 0)]
     while stack:
-        vertex, succ, zf, zt, edges = stack[-1]
+        vertex, succ, bf, bt, edges = stack[-1]
         for v, w in succ:
             if on_path[v]:
                 continue
-            if zf > 0.0:
-                nf = (1.0 - expm1(-2.0 * (zf / mu))) * w
-            elif zf < 0.0:
-                nf = (1.0 + expm1(2.0 * (zf / mu))) * w
-            else:
-                nf = w
-            if not edges:  # the truncated walk starts after the first edge
-                nt = 0.0
-            elif zt > 0.0:
-                nt = (1.0 - expm1(-2.0 * (zt / mu))) * w
-            elif zt < 0.0:
-                nt = (1.0 + expm1(2.0 * (zt / mu))) * w
-            else:
-                nt = w
+            nf = bf * w
+            nt = bt * w
             row[v] += nf - nt
             count[v] += 1
             if count[v] > max_paths:
                 return None, v
-            if edges + 1 < max_len:
+            if edges + 1 < depth:
                 on_path[v] = True
-                stack.append((v, iter(successors[v]), nf, nt, edges + 1))
+                if nf > 0.0:
+                    cf = 1.0 - expm1(-2.0 * (nf / mu))
+                elif nf < 0.0:
+                    cf = 1.0 + expm1(2.0 * (nf / mu))
+                else:
+                    cf = 1.0
+                if nt > 0.0:
+                    ct = 1.0 - expm1(-2.0 * (nt / mu))
+                elif nt < 0.0:
+                    ct = 1.0 + expm1(2.0 * (nt / mu))
+                else:
+                    ct = 1.0
+                stack.append((v, iter(successors[v]), cf, ct, edges + 1))
                 break
         else:
             stack.pop()

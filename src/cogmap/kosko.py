@@ -35,12 +35,13 @@ def path_indirect_influence(
     cmap: CognitiveMap, path: tuple[int, ...], *, abs_weights: bool = False
 ) -> float:
     """Weakest edge weight along ``path`` (or weakest magnitude)."""
-    w = cmap.weights
-    edge_values = (
-        abs(float(w[a, b])) if abs_weights else float(w[a, b])
-        for a, b in zip(path, path[1:])
-    )
-    return min(edge_values)
+    return float(_weakest_link(cmap.weights, path, abs_weights))
+
+
+def _weakest_link(rows, path, abs_weights: bool):
+    """Smallest ``rows[a][b]`` (or its magnitude) over the edges of ``path``."""
+    edges = [rows[a][b] for a, b in zip(path, path[1:])]
+    return min(map(abs, edges)) if abs_weights else min(edges)
 
 
 def total_influence(
@@ -54,9 +55,7 @@ def total_influence(
 ) -> KoskoInfluence:
     """Strongest weakest-link influence of ``source`` on ``target``."""
     paths = enumerate_with_budget(cmap, source, target, max_paths=max_paths, max_len=max_len)
-    per_path = {
-        path: path_indirect_influence(cmap, path, abs_weights=abs_weights)
-        for path in paths
-    }
+    rows = cmap.weights.tolist()
+    per_path = {path: _weakest_link(rows, path, abs_weights) for path in paths}
     total = max(per_path.values()) if per_path else None
     return KoskoInfluence(source, target, per_path, total)

@@ -181,13 +181,23 @@ def first_overflowing_pair(m, max_paths, max_len=None):
     return None
 
 
+@st.composite
+def maps_with_max_len(draw, max_n):
+    """A map and a ``max_len`` that includes n - 2, n - 1 and n.
+
+    The kernel pushes a path only while it has fewer than min(max_len, n - 1)
+    edges, so these are the edges of that cap.
+    """
+    m = draw(cognitive_maps(max_n=max_n))
+    lengths = [k for k in (1, 2, 3, m.n - 2, m.n - 1, m.n) if k >= 1]
+    return m, draw(st.sampled_from([None, *lengths]))
+
+
 class TestKernelAgainstReference:
-    @given(
-        m=cognitive_maps(max_n=7),
-        max_len=st.sampled_from([None, 1, 2, 3]),
-    )
+    @given(drawn=maps_with_max_len(max_n=7))
     @settings(max_examples=80, deadline=None)
-    def test_bit_identical_to_pairwise_definition(self, m, max_len):
+    def test_bit_identical_to_pairwise_definition(self, drawn):
+        m, max_len = drawn
         Z = influence_matrix(m, max_len=max_len)
         assert Z.tobytes() == pairwise_matrix(m, max_len).tobytes()
 
@@ -226,6 +236,26 @@ class TestKernelAgainstReference:
             influence_matrix(CognitiveMap(w), max_paths=1)
         assert (excinfo.value.source, excinfo.value.target) == (0, 1)
 
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_expm1_calls_once_per_extended_path(self, n, monkeypatch):
+        # each path of k < n - 1 edges is extended, and computes its two boost
+        # factors once; a one-edge path's truncated value is 0, which needs
+        # none, and a path of n - 1 edges cannot grow, so it needs neither
+        calls = 0
+        expm1 = math.expm1
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return expm1(x)
+
+        monkeypatch.setattr(math, "expm1", counted)
+        influence_matrix(complete_map(n, 0.5))
+        extended = sum(math.perm(n - 1, k) for k in range(1, n - 1))
+        bound = n * (2 * extended - (n - 1))
+        assert bound == {6: 2430, 7: 17262, 8: 138488}[n]
+        assert calls <= bound
+
     def test_overflow_recheck_keeps_no_paths(self):
         # on K9 row 0 overflows at target 8 first; the re-check then walks
         # 2001 paths to target 1, which as tuples would take ~220 KB
@@ -249,6 +279,26 @@ class TestNonFinite:
         assert excinfo.value.pair == (0, 2)
         assert excinfo.value.max_weight == 1e308
         assert "1e+308" in str(excinfo.value)
+
+    def test_heavy_maps_name_the_first_non_finite_pairwise_entry(self):
+        # weights in (-3, 3) times 5e307 stay finite, but the boosted steps,
+        # the sums over paths and their differences overflow to inf and nan
+        rng = np.random.default_rng(23)
+        raised = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 8))
+            m = scale_map(random_map(rng, n, density=rng.uniform(0.3, 1.0)), 5e307)
+            for max_len in (None, 2):
+                want = pairwise_matrix(m, max_len)
+                bad = np.argwhere(~np.isfinite(want))
+                if not bad.size:
+                    assert influence_matrix(m, max_len=max_len).tobytes() == want.tobytes()
+                    continue
+                with pytest.raises(NonFiniteInfluenceError) as excinfo:
+                    influence_matrix(m, max_len=max_len)
+                assert excinfo.value.pair == tuple(int(k) for k in bad[0])
+                raised += 1
+        assert 20 < raised < 80  # both branches run
 
     def test_overflowing_row_sum_names_the_row(self):
         Z = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1e308, 1e308, 0.0]])
