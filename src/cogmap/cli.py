@@ -35,7 +35,7 @@ from .errors import CogmapError, ImpulseDivergenceError, MethodNotApplicableErro
 from .impulse import impulse_general_influence, simulate, stability_check
 from .influence import general_influence, influence_matrix
 from .kosko import total_influence
-from .maps import CognitiveMap, dumps_map, load_map, scale_map
+from .maps import CognitiveMap, _default_fmt, dumps_map, load_map, scale_map
 from .paths import DEFAULT_MAX_PATHS, enumerate_with_budget
 
 __all__ = ["cli", "main"]
@@ -260,12 +260,11 @@ def _csv_scale_check(p: dict) -> list[str]:
 
 def _load_cli_map(map_file: str, decimal_comma: bool) -> CognitiveMap:
     path = Path(map_file)
-    fmt = "json" if path.suffix.lower() == ".json" else "csv"
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read {map_file}: {exc}") from None
-    return load_map(data, fmt, decimal_comma=decimal_comma)
+    return load_map(data, _default_fmt(path), decimal_comma=decimal_comma)
 
 
 def _echo(fmt: str, payload: dict, table, csv) -> None:

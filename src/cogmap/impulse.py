@@ -26,7 +26,6 @@ them one after another would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -212,9 +211,26 @@ def stability_check(cmap: CognitiveMap) -> StabilityVerdict:
     mags = tuple(np.abs(eigs).tolist())
     radius = mags[0] if mags else 0.0
     tol = DISTINCTNESS_TOL * max(1.0, radius)
-    all_distinct = all(abs(a - b) > tol for a, b in combinations(values, 2))
+    all_distinct = _all_distinct(values, tol)
     all_within_unit = all(m <= 1.0 + UNIT_CIRCLE_TOL for m in mags)
     return StabilityVerdict(values, mags, all_distinct, all_within_unit)
+
+
+def _all_distinct(values, tol: float) -> bool:
+    """Whether all ``values`` are pairwise more than ``tol`` apart.
+
+    Sorted by real part, a value meets only the later ones within ``tol`` in
+    real part: ``abs`` (libm's hypot) of a difference is at least its real part's.
+    """
+    ordered = sorted(values, key=lambda z: z.real)
+    for i, a in enumerate(ordered):
+        for j in range(i + 1, len(ordered)):
+            b = ordered[j]
+            if b.real - a.real > tol:
+                break
+            if not abs(a - b) > tol:
+                return False
+    return True
 
 
 def impulse_general_influence(

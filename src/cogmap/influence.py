@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NonFiniteInfluenceError, PathBudgetError
 from .maps import CognitiveMap, max_abs_weight
-from .paths import DEFAULT_MAX_PATHS, PathSet, _check_budget, _simple_paths
+from .paths import DEFAULT_MAX_PATHS, PathSet, _check_budget, _complete_paths, _simple_paths
 
 __all__ = [
     "damping",
@@ -146,28 +146,25 @@ def influence_matrix(
     """The full n x n matrix of accumulated pairwise influences.
 
     Each source row is one iterative depth-first walk over the simple paths
-    leaving it, neighbours in ascending order.  Every path the walk reaches
-    ends at some target, so extending it by one edge costs two
-    multiplications, by boost factors computed once per extended path, and
-    adds the path's partial influence to that target's entry; the walk then
-    goes on through the target to later ones, unless the path already has
-    ``min(max_len, n - 1)`` edges and so cannot grow.  Preorder visits
+    leaving it, neighbours in ascending order (see :func:`_source_row`).  A
+    step extends a path by one edge with two multiplications and adds the
+    path's partial influence to the entry of its end vertex.  Preorder visits
     each target's paths in lexicographic order, the order of
-    :func:`pair_influence` over :func:`enumerate_with_budget`, so every sum is
-    formed in the same order and the matrix is bit-identical to the pair by
-    pair definition.  Unreachable pairs and the diagonal stay 0, and an
-    edgeless map yields the zero matrix.
+    :func:`pair_influence` over :func:`enumerate_with_budget`, so the matrix
+    is bit-identical to the pair by pair definition.  Unreachable pairs and
+    the diagonal stay 0, and an edgeless map yields the zero matrix.
 
-    ``threads`` is accepted and has no effect: rows are computed
-    sequentially, since the walk is pure Python and under the GIL a thread
-    pool was measured slower.
+    ``threads`` is accepted and has no effect: the walk is pure Python, and
+    under the GIL a thread pool was measured slower.
 
-    ``max_paths`` bounds the paths counted per pair.  A row stops at its
-    first overflowing target; the smaller targets of that row are re-checked
-    pair by pair (each check counts up to ``max_paths + 1`` paths and keeps
-    none), so the :class:`PathBudgetError` names the first overflowing pair
-    in row-major order.  Raises :class:`NonFiniteInfluenceError` naming the
-    first non-finite entry when weights near the float maximum overflow.
+    ``max_paths`` bounds the paths per pair.  No pair has more paths of up to
+    ``max_len`` edges than a pair of K_n, so when K_n's count fits, no count
+    can fire and the walk keeps none.  Otherwise a row stops at its first
+    overflowing target and its smaller targets are re-checked pair by pair
+    (counting up to ``max_paths + 1`` paths each and keeping none), so the
+    :class:`PathBudgetError` names the first overflowing pair in row-major
+    order.  Raises :class:`NonFiniteInfluenceError` naming the first
+    non-finite entry when weights near the float maximum overflow.
     """
     n = cmap.n
     max_len = _check_budget(n, max_paths, max_len)
@@ -176,8 +173,9 @@ def influence_matrix(
     successors = [
         [(j, w) for j, w in enumerate(row) if w != 0.0] for row in cmap.weights.tolist()
     ]
+    counted = _complete_paths(n, max_len, max_paths) > max_paths
     for source in range(n):
-        row, overflow = _source_row(successors, source, mu, max_len, max_paths)
+        row, overflow = _source_row(successors, source, mu, max_len, max_paths, counted)
         if overflow is not None:
             # a smaller target may overflow later in the walk; the first to
             # raise here is the first overflowing pair in row-major order
@@ -201,40 +199,40 @@ def influence_matrix(
     return Z
 
 
-def _source_row(successors, source, mu, max_len, max_paths):
+def _source_row(successors, source, mu, max_len, max_paths, counted):
     """One source row by an iterative walk; ``(row, None)`` or ``(None, target)``.
 
-    Frames hold ``(vertex, successor iterator, bf, bt, edges)``: the boost
+    Frames hold ``(vertex, successor iterator, bf, bt, left)``: the boost
     factors ``1 + sign(z) * damping(|z| / mu)`` of the path's full and
-    truncated values, computed once when the frame is pushed, so a step is
-    two multiplications.  They are the floats :func:`_walk` forms before
-    multiplying by ``w``: for z < 0, ``2 * (z / mu)`` is exactly
-    ``-2 * |z / mu|``, and z == 0 gives 1.0 as sign(0) = 0 does.
-    The source frame has ``bt = 0.0``, so the first edge's truncated value is
-    ±0.0, which leaves ``w - nt`` equal to ``w`` and gives its child the
-    factor 1.0.  A path of ``min(max_len, n - 1)`` edges cannot grow, so it
-    is never pushed.
+    truncated values, the floats :func:`_walk` forms before multiplying by
+    ``w`` (for z < 0, ``2 * (z / mu)`` is exactly ``-2 * |z / mu|``; z == 0
+    gives 1.0 as sign(0) = 0 does), and the edges the path may still gain.
+    The source frame has ``bt = 0.0``: the first edge's truncated value is
+    ±0.0, so ``w - nt`` is ``w`` and its child's factor is 1.0.  A path that
+    can grow forms its factors once; it is pushed only if its extensions can
+    grow too, else they are walked inline, in frame order (maps have no
+    self-loops, so the path's end need not be marked).  Paths per target are
+    counted only if ``counted``.
     """
     expm1 = math.expm1
     row = [0.0] * len(successors)
     count = [0] * len(successors)
     on_path = [False] * len(successors)
     on_path[source] = True
-    depth = min(max_len, len(successors) - 1)
-    stack = [(source, iter(successors[source]), 1.0, 0.0, 0)]
+    stack = [(source, iter(successors[source]), 1.0, 0.0, min(max_len, len(successors) - 1))]
     while stack:
-        vertex, succ, bf, bt, edges = stack[-1]
+        vertex, succ, bf, bt, left = stack[-1]
         for v, w in succ:
             if on_path[v]:
                 continue
             nf = bf * w
             nt = bt * w
             row[v] += nf - nt
-            count[v] += 1
-            if count[v] > max_paths:
-                return None, v
-            if edges + 1 < depth:
-                on_path[v] = True
+            if counted:
+                count[v] += 1
+                if count[v] > max_paths:
+                    return None, v
+            if left > 1:
                 if nf > 0.0:
                     cf = 1.0 - expm1(-2.0 * (nf / mu))
                 elif nf < 0.0:
@@ -247,8 +245,17 @@ def _source_row(successors, source, mu, max_len, max_paths):
                     ct = 1.0 + expm1(2.0 * (nt / mu))
                 else:
                     ct = 1.0
-                stack.append((v, iter(successors[v]), cf, ct, edges + 1))
-                break
+                if left > 2:
+                    on_path[v] = True
+                    stack.append((v, iter(successors[v]), cf, ct, left - 1))
+                    break
+                for u, x in successors[v]:
+                    if not on_path[u]:
+                        row[u] += cf * x - ct * x
+                        if counted:
+                            count[u] += 1
+                            if count[u] > max_paths:
+                                return None, u
         else:
             stack.pop()
             on_path[vertex] = False

@@ -217,14 +217,25 @@ def _load_json(text: str) -> CognitiveMap:
     return CognitiveMap(rows, labels)
 
 
-def load_map(source: Source, fmt: str = "csv", *, decimal_comma: bool = False) -> CognitiveMap:
+def _default_fmt(path) -> str:
+    """JSON for a ``str`` or ``Path`` with the suffix ``.json`` in any case, else CSV."""
+    json_path = isinstance(path, (str, Path)) and Path(path).suffix.lower() == ".json"
+    return "json" if json_path else "csv"
+
+
+def load_map(
+    source: Source, fmt: str | None = None, *, decimal_comma: bool = False
+) -> CognitiveMap:
     """Load and validate a cognitive map from ``source``.
 
     Pass a :class:`pathlib.Path` or an open file to read from disk; a plain
     ``str`` or ``bytes`` is parsed as the file's contents, not as a path.
-    ``fmt`` is ``"csv"`` or ``"json"``.  Raises :class:`ValidationError` with
-    the offending row/column named for any malformed input.
+    ``fmt`` is ``"csv"`` or ``"json"``, by default JSON for a ``Path`` ending
+    in ``.json`` and CSV otherwise.  Raises :class:`ValidationError` with the
+    offending row/column named for any malformed input.
     """
+    if fmt is None:
+        fmt = _default_fmt(source if isinstance(source, Path) else None)
     text = _read_text(source)
     if fmt == "csv":
         return _load_csv(text, decimal_comma)
@@ -262,9 +273,9 @@ def dumps_map(cmap: CognitiveMap, fmt: str = "csv") -> str:
     raise ValueError(f"unknown format {fmt!r}, expected 'csv' or 'json'")
 
 
-def save_map(cmap: CognitiveMap, dest: Union[str, Path, IO], fmt: str = "csv") -> None:
-    """Write ``cmap`` to a path or open text file."""
-    text = dumps_map(cmap, fmt)
+def save_map(cmap: CognitiveMap, dest: Union[str, Path, IO], fmt: str | None = None) -> None:
+    """Write ``cmap`` to a path or open text file; by default JSON for a ``.json`` path."""
+    text = dumps_map(cmap, _default_fmt(dest) if fmt is None else fmt)
     if isinstance(dest, (str, Path)):
         Path(dest).write_text(text, encoding="utf-8")
     else:

@@ -145,5 +145,15 @@ def count_paths_complete(n: int) -> int:
     """
     if n < 2:
         raise ValueError(f"need at least the two endpoint vertices, got n={n}")
-    f = math.factorial
-    return sum(f(n - 2) // f(n - 2 - k) for k in range(n - 1))
+    return _complete_paths(n, n - 1)
+
+
+def _complete_paths(n: int, max_len: int, cap: float = math.inf) -> int:
+    """The sum above over k < min(max_len, n - 1), or its first partial sum past ``cap``."""
+    total = term = 1
+    for k in range(1, min(max_len, n - 1)):
+        if total > cap:
+            break
+        term *= n - 1 - k
+        total += term
+    return total

@@ -97,6 +97,16 @@ class TestAnalyze:
             assert np.array_equal(reloaded.weights, influence_matrix(cmap)), path.name
             assert reloaded.labels == cmap.labels
 
+    def test_map_saved_to_a_json_path_reads_back(self, run, tmp_path):
+        # save_map picks the format from the suffix, as load_map and the CLI do
+        path = tmp_path / "m.json"
+        save_map(LABELLED, path)
+        assert json.loads(path.read_text())["labels"] == list(LABELLED.labels)
+        assert load_map(path) == LABELLED
+        code, out, err = run("analyze", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["influence"] == influence_matrix(LABELLED).tolist()
+
     @pytest.mark.parametrize(
         "labels",
         [("1", "2"), ("a,b", "c"), (" a", "b"), ("",)],

@@ -17,6 +17,7 @@ from cogmap import (
     simulate,
     stability_check,
 )
+from cogmap.impulse import _all_distinct
 from conftest import ALL_FIXTURES, STABLE_FIXTURES, UNSTABLE_FIXTURES, cognitive_maps, random_map
 
 from oracles import neumann_cumulative_change
@@ -143,6 +144,32 @@ class TestStabilityCheck:
         assert verdict.all_within_unit
         assert not verdict.all_distinct
         assert not verdict.stable
+
+    @given(
+        parts=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1e-7, -0.3, 0.3, 0.3 + 5e-7, 0.8, 1.0]),
+                st.sampled_from([0.0, 2e-7, 0.5, 0.5 + 1e-6]),
+                st.booleans(),
+            ),
+            max_size=8,
+        ),
+        noise=st.lists(st.floats(-1.0, 1.0), max_size=6),
+        tol=st.sampled_from([0.0, 1e-9, 1e-6, 3e-6, 1e-3, 0.1, 0.5]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_distinctness_matches_all_pairs(self, parts, noise, tol):
+        # grid values give ties and near-ties, conjugate pairs share a real
+        # part, and the noise spreads the rest
+        values = [complex(re, im) for re, im, _ in parts]
+        values += [complex(re, -im) for re, im, conjugate in parts if conjugate]
+        values += [complex(x, x / 3) for x in noise]
+        pairs = all(
+            abs(values[i] - values[j]) > tol
+            for i in range(len(values))
+            for j in range(i + 1, len(values))
+        )
+        assert _all_distinct(values, tol) == pairs
 
     def test_edgeless_map_is_stable(self):
         verdict = stability_check(CognitiveMap(np.zeros((3, 3))))

@@ -193,12 +193,43 @@ def maps_with_max_len(draw, max_n):
     return m, draw(st.sampled_from([None, *lengths]))
 
 
+def complete_bound(n, max_len=None):
+    """Paths of at most ``max_len`` edges between two vertices of K_n."""
+    return sum(math.perm(n - 2, k) for k in range(min(max_len or n, n - 1)))
+
+
 class TestKernelAgainstReference:
-    @given(drawn=maps_with_max_len(max_n=7))
-    @settings(max_examples=80, deadline=None)
-    def test_bit_identical_to_pairwise_definition(self, drawn):
+    @given(drawn=maps_with_max_len(max_n=7), budget=st.sampled_from(["1", "b-1", "b", "1e6"]))
+    @settings(max_examples=120, deadline=None)
+    def test_bit_identical_to_pairwise_definition(self, drawn, budget):
+        # at bound b and above the walk counts nothing; below it, it counts
         m, max_len = drawn
-        Z = influence_matrix(m, max_len=max_len)
+        b = complete_bound(m.n, max_len)
+        max_paths = {"1": 1, "b-1": max(1, b - 1), "b": b, "1e6": 10**6}[budget]
+        pair = first_overflowing_pair(m, max_paths, max_len)
+        if pair is not None:
+            with pytest.raises(PathBudgetError) as excinfo:
+                influence_matrix(m, max_paths=max_paths, max_len=max_len)
+            assert (excinfo.value.source, excinfo.value.target) == pair
+            return
+        Z = influence_matrix(m, max_paths=max_paths, max_len=max_len)
+        assert Z.tobytes() == pairwise_matrix(m, max_len).tobytes()
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("length", ["None", "1", "2", "n-2"])
+    def test_complete_map_at_the_counting_bound(self, n, length):
+        # K_n has the most paths of any n-vertex map, so at its count the
+        # walk counts nothing and one path fewer must still overflow
+        max_len = {"None": None, "1": 1, "2": 2, "n-2": n - 2}[length]
+        m = complete_map(n, 0.5)
+        b = enumerate_with_budget(m, 0, 1, max_len=max_len).count
+        assert b == complete_bound(n, max_len)
+        if b > 1:
+            with pytest.raises(PathBudgetError) as excinfo:
+                influence_matrix(m, max_paths=b - 1, max_len=max_len)
+            err = excinfo.value
+            assert (err.source, err.target, err.found) == (0, 1, b)
+        Z = influence_matrix(m, max_paths=b, max_len=max_len)
         assert Z.tobytes() == pairwise_matrix(m, max_len).tobytes()
 
     @pytest.mark.parametrize("name", ["four_stable", "city_waste", "sanitation_doubled"])

@@ -102,6 +102,33 @@ class TestLoadJson:
             load_map("0", "xml")
 
 
+class TestDefaultFormat:
+    def test_suffix_picks_the_format(self, tmp_path, fixture_maps):
+        m = fixture_maps["four_stable"]
+        for name, fmt in (("a.json", "json"), ("b.JSON", "json"), ("c.csv", "csv"), ("d", "csv")):
+            path = tmp_path / name
+            save_map(m, str(path))
+            assert path.read_text() == dumps_map(m, fmt)
+            assert load_map(path) == m
+
+    def test_explicit_format_wins(self, tmp_path, fixture_maps):
+        m = fixture_maps["four_stable"]
+        path = tmp_path / "m.json"
+        save_map(m, path, "csv")
+        assert path.read_text() == dumps_map(m, "csv")
+        assert load_map(path, "csv") == m
+        with pytest.raises(ValidationError):
+            load_map(path)
+
+    def test_text_and_streams_default_to_csv(self, fixture_maps):
+        m = fixture_maps["four_stable"]
+        assert load_map(dumps_map(m, "csv")) == m
+        assert load_map(io.StringIO(dumps_map(m, "csv"))) == m
+        out = io.StringIO()
+        save_map(m, out)
+        assert out.getvalue() == dumps_map(m, "csv")
+
+
 class TestByteOrderMark:
     """A UTF-8 BOM, as Excel writes it, is not part of the first row."""
 

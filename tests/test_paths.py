@@ -15,6 +15,7 @@ from cogmap import (
     enumerate_simple_paths,
     enumerate_with_budget,
 )
+from cogmap.paths import _complete_paths
 from conftest import cognitive_maps
 
 from oracles import brute_force_paths
@@ -106,6 +107,24 @@ class TestCompleteGraphCounts:
     def test_too_small(self):
         with pytest.raises(ValueError):
             count_paths_complete(1)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_length_bounded_count_matches_enumeration(self, n):
+        m = complete_map(n)
+        sums = []
+        for max_len in range(1, n + 1):
+            want = enumerate_with_budget(m, 0, 1, max_len=max_len).count
+            assert _complete_paths(n, max_len) == want
+            assert _complete_paths(n, max_len, cap=want) == want
+            sums.append(want)
+        # under a cap it stops at the first partial sum past it
+        for cap, past in zip(sums, sums[1 : n - 1]):
+            assert _complete_paths(n, n, cap=cap) == past
+
+    def test_cap_stops_a_long_chain_early(self):
+        # 1 + 1498 + 1498 * 1497 is the first partial sum past 10**6; the
+        # full sum has over 4000 digits
+        assert _complete_paths(1500, 1500, cap=10**6) == 1 + 1498 + 1498 * 1497
 
 
 class TestAgainstOracle:
