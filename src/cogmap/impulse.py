@@ -100,11 +100,17 @@ def simulate(
     v = np.zeros((1, n)) if v0 is None else np.array(v0, dtype=float).reshape(1, -1)
     if p.shape != (1, n) or v.shape != (1, n):
         raise ValueError(f"p0 and v0 must be vectors of length {n}")
-    history = [(v, p)]
+    history = [v]
     _, converged_at, diverged = _propagate(cmap.weights, v, p, max_steps, eps, history)
     if diverged is not None:
         raise ImpulseDivergenceError(diverged[1])
-    values, impulses = (np.concatenate(blocks) for blocks in zip(*history))
+    values = np.concatenate(history)
+    del history  # free the per-step blocks before the impulses exist: a lower peak
+    impulses = np.empty_like(values)
+    impulses[:1] = p
+    # the subtraction that _propagate made each step, so the bits are the same
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(values[1:], values[:-1], out=impulses[1:])
     return ImpulseTrace(values, impulses, int(converged_at[0]) or None)
 
 
@@ -118,7 +124,7 @@ def _propagate(weights, V, P, max_steps, eps, history=None):
     ``weights.T @ p`` makes, so each row gets the bits of its own
     simulation (a gemm over the whole block would not).  Converged rows are
     written out and dropped.  No history is kept unless ``history`` is a
-    list, which then receives each step's ``(V, P)`` block.
+    list, which then receives each step's ``V`` block.
 
     Returns ``(final, converged_at, diverged)``.  ``final[r]`` holds row r's
     values at step ``converged_at[r]``, where it converged; the step is 0
@@ -146,7 +152,7 @@ def _propagate(weights, V, P, max_steps, eps, history=None):
             P = V_next - V
             V = V_next
             if history is not None:
-                history.append((V, P))
+                history.append(V)
             peak = np.maximum.reduce(np.abs(P), axis=1)
             if not np.isfinite(peak).all():
                 # v(t-1) is finite, so a non-finite v(t) makes p(t) non-finite;

@@ -159,7 +159,9 @@ def influence_matrix(
 
     ``max_paths`` bounds the paths per pair.  No pair has more paths of up to
     ``max_len`` edges than a pair of K_n, so when K_n's count fits, no count
-    can fire and the walk keeps none.  Otherwise a row stops at its first
+    can fire and the walk keeps none; if ``max_len`` also lets a path reach
+    every vertex, a path with one vertex left is closed by looking up the
+    weight of the edge to that vertex.  Otherwise a row stops at its first
     overflowing target and its smaller targets are re-checked pair by pair
     (counting up to ``max_paths + 1`` paths each and keeping none), so the
     :class:`PathBudgetError` names the first overflowing pair in row-major
@@ -170,12 +172,11 @@ def influence_matrix(
     max_len = _check_budget(n, max_paths, max_len)
     mu = max_abs_weight(cmap)
     Z = np.zeros((n, n))
-    successors = [
-        [(j, w) for j, w in enumerate(row) if w != 0.0] for row in cmap.weights.tolist()
-    ]
+    dense = cmap.weights.tolist()
+    successors = [[(j, w) for j, w in enumerate(row) if w != 0.0] for row in dense]
     counted = _complete_paths(n, max_len, max_paths) > max_paths
     for source in range(n):
-        row, overflow = _source_row(successors, source, mu, max_len, max_paths, counted)
+        row, overflow = _source_row(successors, dense, source, mu, max_len, max_paths, counted)
         if overflow is not None:
             # a smaller target may overflow later in the walk; the first to
             # raise here is the first overflowing pair in row-major order
@@ -199,7 +200,7 @@ def influence_matrix(
     return Z
 
 
-def _source_row(successors, source, mu, max_len, max_paths, counted):
+def _source_row(successors, dense, source, mu, max_len, max_paths, counted):
     """One source row by an iterative walk; ``(row, None)`` or ``(None, target)``.
 
     Frames hold ``(vertex, successor iterator, bf, bt, left)``: the boost
@@ -209,17 +210,26 @@ def _source_row(successors, source, mu, max_len, max_paths, counted):
     gives 1.0 as sign(0) = 0 does), and the edges the path may still gain.
     The source frame has ``bt = 0.0``: the first edge's truncated value is
     ±0.0, so ``w - nt`` is ``w`` and its child's factor is 1.0.  A path that
-    can grow forms its factors once; it is pushed only if its extensions can
-    grow too, else they are walked inline, in frame order (maps have no
-    self-loops, so the path's end need not be marked).  Paths per target are
-    counted only if ``counted``.
+    can grow forms its factors once.  It is pushed only if it may gain three
+    edges or more; otherwise its extensions, and theirs when it may gain two,
+    are walked inline in frame order (maps have no self-loops, so a path's
+    end need not be marked).  Paths per target are counted only if
+    ``counted``.  When nothing is counted and the walk may reach every
+    vertex (``lookup``), a frame's ``left`` is the number of vertices off its
+    path, and ``free``, kept only then, is their index sum.  An inline path
+    ending ``v, u`` with one edge left can then only be extended to ``free -
+    v - u``, so one lookup in ``dense`` replaces the scan of u's successors.
     """
     expm1 = math.expm1
-    row = [0.0] * len(successors)
-    count = [0] * len(successors)
-    on_path = [False] * len(successors)
+    n = len(successors)
+    row = [0.0] * n
+    count = [0] * n
+    on_path = [False] * n
     on_path[source] = True
-    stack = [(source, iter(successors[source]), 1.0, 0.0, min(max_len, len(successors) - 1))]
+    left = min(max_len, n - 1)
+    lookup = not counted and left == n - 1
+    free = n * (n - 1) // 2 - source
+    stack = [(source, iter(successors[source]), 1.0, 0.0, left)]
     while stack:
         vertex, succ, bf, bt, left = stack[-1]
         for v, w in succ:
@@ -245,20 +255,63 @@ def _source_row(successors, source, mu, max_len, max_paths, counted):
                     ct = 1.0 + expm1(2.0 * (nt / mu))
                 else:
                     ct = 1.0
-                if left > 2:
+                if left > 3:
                     on_path[v] = True
+                    if lookup:
+                        free -= v
                     stack.append((v, iter(successors[v]), cf, ct, left - 1))
                     break
+                if left == 2:
+                    for u, x in successors[v]:
+                        if not on_path[u]:
+                            row[u] += cf * x - ct * x
+                            if counted:
+                                count[u] += 1
+                                if count[u] > max_paths:
+                                    return None, u
+                    continue
+                on_path[v] = True
                 for u, x in successors[v]:
-                    if not on_path[u]:
-                        row[u] += cf * x - ct * x
-                        if counted:
-                            count[u] += 1
-                            if count[u] > max_paths:
-                                return None, u
+                    if on_path[u]:
+                        continue
+                    uf = cf * x
+                    ut = ct * x
+                    row[u] += uf - ut
+                    if counted:
+                        count[u] += 1
+                        if count[u] > max_paths:
+                            return None, u
+                    if uf > 0.0:
+                        gf = 1.0 - expm1(-2.0 * (uf / mu))
+                    elif uf < 0.0:
+                        gf = 1.0 + expm1(2.0 * (uf / mu))
+                    else:
+                        gf = 1.0
+                    if ut > 0.0:
+                        gt = 1.0 - expm1(-2.0 * (ut / mu))
+                    elif ut < 0.0:
+                        gt = 1.0 + expm1(2.0 * (ut / mu))
+                    else:
+                        gt = 1.0
+                    if lookup:
+                        y = free - v - u
+                        e = dense[u][y]
+                        if e != 0.0:
+                            row[y] += gf * e - gt * e
+                        continue
+                    for y, e in successors[u]:
+                        if not on_path[y]:
+                            row[y] += gf * e - gt * e
+                            if counted:
+                                count[y] += 1
+                                if count[y] > max_paths:
+                                    return None, y
+                on_path[v] = False
         else:
             stack.pop()
             on_path[vertex] = False
+            if lookup:
+                free += vertex
     return row, None
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -69,6 +71,22 @@ class TestSimulate:
         trace = simulate(m, p0, max_steps=100)
         p0[:] = 7.0
         assert np.array_equal(trace.impulses[0], unit_impulse(4, 0))
+
+    def test_peak_memory_stays_below_twice_the_trace(self):
+        # a unit impulse circles a 20-cycle for all 5 000 steps; a per-step
+        # (1, n) block takes more memory than the row it holds, so blocks of
+        # both values and impulses held next to the result would pass 2x
+        n = 20
+        w = np.zeros((n, n))
+        w[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+        tracemalloc.start()
+        try:
+            trace = simulate(CognitiveMap(w), unit_impulse(n, 0), max_steps=5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.steps == 5000 and not trace.converged
+        assert peak < 2 * (trace.values.nbytes + trace.impulses.nbytes)
 
     def test_argument_validation(self, fixture_maps):
         m = fixture_maps["four_stable"]

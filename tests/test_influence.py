@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dis
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -27,6 +29,7 @@ from cogmap import (
     reachability_closure,
     scale_map,
 )
+from cogmap.influence import _source_row
 from conftest import cognitive_maps, random_map, verify_influence_golden, verify_report_golden
 
 from oracles import oracle_influence_matrix, straight_line_full, straight_line_truncated
@@ -232,6 +235,35 @@ class TestKernelAgainstReference:
         Z = influence_matrix(m, max_paths=b, max_len=max_len)
         assert Z.tobytes() == pairwise_matrix(m, max_len).tobytes()
 
+    @pytest.mark.parametrize("n", range(4, 9))
+    @pytest.mark.parametrize("drop", [0.0, 0.5])
+    def test_near_complete_maps_at_the_lookup_bounds(self, n, drop):
+        # with nothing counted and max_len >= n - 1, a path with one vertex
+        # left is closed by looking up the edge to that vertex; dropping
+        # edges into vertex n - 1 makes some lookups find no edge.  At b - 1
+        # the walk counts and scans, and on K_n (nothing dropped) every pair
+        # overflows there, so leaf steps that went uncounted would show
+        rng = np.random.default_rng(n)
+        w = rng.uniform(0.5, 3.0, (n, n)) * rng.choice([-1.0, 1.0], (n, n))
+        np.fill_diagonal(w, 0.0)
+        w[rng.random(n) < drop, n - 1] = 0.0
+        m = CognitiveMap(w)
+        want = {}
+        for max_len in (None, n, n - 1, n - 2):
+            cap = min(max_len or n, n - 1)
+            if cap not in want:
+                want[cap] = pairwise_matrix(m, cap).tobytes()
+            b = complete_bound(n, max_len)
+            for max_paths in (b - 1, b, 10**6):
+                pair = first_overflowing_pair(m, max_paths, max_len)
+                if pair is not None:
+                    with pytest.raises(PathBudgetError) as excinfo:
+                        influence_matrix(m, max_paths=max_paths, max_len=max_len)
+                    assert (excinfo.value.source, excinfo.value.target) == pair
+                    continue
+                Z = influence_matrix(m, max_paths=max_paths, max_len=max_len)
+                assert Z.tobytes() == want[cap]
+
     @pytest.mark.parametrize("name", ["four_stable", "city_waste", "sanitation_doubled"])
     def test_fixtures_bit_identical(self, name, fixture_maps):
         m = fixture_maps[name]
@@ -269,9 +301,11 @@ class TestKernelAgainstReference:
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_expm1_calls_once_per_extended_path(self, n, monkeypatch):
-        # each path of k < n - 1 edges is extended, and computes its two boost
-        # factors once; a one-edge path's truncated value is 0, which needs
-        # none, and a path of n - 1 edges cannot grow, so it needs neither
+        # each path of k < n - 1 edges is extended, whether pushed as a frame
+        # or walked inline, and computes its two boost factors once; a
+        # one-edge path's truncated value is 0, which needs none, and a path
+        # of n - 1 edges cannot grow, so it needs neither, nor does the lookup
+        # that closes it
         calls = 0
         expm1 = math.expm1
 
@@ -299,6 +333,54 @@ class TestKernelAgainstReference:
             tracemalloc.stop()
         assert (excinfo.value.source, excinfo.value.target) == (0, 1)
         assert peak < 50_000
+
+
+class TestKernelCoverage:
+    def test_small_corpus_reaches_every_line_of_the_row_walk(self):
+        # subnormal weights make boost factors multiply to exactly 0, so the
+        # zero branches are taken at every level, and budgets of 1 and 2 make
+        # every count overflow, so each return inside the inline levels runs;
+        # every outcome must also match the pairwise definition
+        code = _source_row.__code__
+        lines = {line for _, line in dis.findlinestarts(code) if line is not None}
+        lines.discard(code.co_firstlineno)
+        reached = set()
+
+        def trace_lines(frame, event, arg):
+            reached.add(frame.f_lineno)
+            return trace_lines
+
+        def trace_calls(frame, event, arg):
+            return trace_lines if frame.f_code is code else None
+
+        rng = np.random.default_rng(0)
+        tiny = 5e-324
+        outcomes = []
+        previous = sys.gettrace()
+        sys.settrace(trace_calls)
+        try:
+            for _ in range(8):
+                n = int(rng.integers(2, 7))
+                w = rng.choice([3.0, -3.0, 1.5, -2.0, tiny, -tiny], size=(n, n))
+                w *= rng.random((n, n)) < 0.8
+                np.fill_diagonal(w, 0.0)
+                m = CognitiveMap(w)
+                for max_paths in (1, 2, 10**6):
+                    for max_len in (None, 2, 3):
+                        try:
+                            Z = influence_matrix(m, max_paths=max_paths, max_len=max_len)
+                            outcomes.append((m, max_paths, max_len, Z.tobytes()))
+                        except PathBudgetError as err:
+                            outcomes.append((m, max_paths, max_len, (err.source, err.target)))
+        finally:
+            sys.settrace(previous)
+        assert lines <= reached, sorted(lines - reached)
+        for m, max_paths, max_len, got in outcomes:
+            pair = first_overflowing_pair(m, max_paths, max_len)
+            if pair is None:
+                assert got == pairwise_matrix(m, max_len).tobytes()
+            else:
+                assert got == pair
 
 
 class TestNonFinite:
